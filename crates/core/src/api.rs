@@ -13,8 +13,7 @@ use crate::error::CoreError;
 use crate::influence::{metric_aggregate, rank_influence_with_cache, InfluenceReport};
 use crate::metric::ErrorMetric;
 use crate::predicates::{enumerate_predicates, PredicateEnumConfig};
-use crate::ranker::{rank_predicates_with_cache, RankedPredicate, RankerConfig};
-use crate::sharded::rank_predicates_sharded;
+use crate::ranker::{rank, Aggregates, RankedPredicate, RankerConfig};
 use dbwipes_engine::{
     execute_on_catalog, parse_select, AggregateArg, ExecOptions, GroupedAggregateCache,
     QueryResult, ShardedAggregateCache,
@@ -425,30 +424,22 @@ pub fn explain_with_partitioner(
     // zone-map pruning lets equality candidates skip most shards' kernels.
     let start = Instant::now();
     let shard_column = choose_shard_column(table, &all_predicates, &result.statement.group_by);
-    let ranked = match (request.config.shards, shard_column) {
+    let shard_cache = match (request.config.shards, shard_column) {
         (2.., Some(column)) => {
             let sharded = partitioner.partition(table, &column, request.config.shards)?;
-            let shard_cache = ShardedAggregateCache::build(sharded, &result.statement)?;
-            rank_predicates_sharded(
-                &shard_cache,
-                result,
-                &request.suspicious_outputs,
-                &examples,
-                &request.metric,
-                all_predicates,
-                &request.config.ranker,
-            )?
+            Some(ShardedAggregateCache::build(sharded, &result.statement)?)
         }
-        _ => rank_predicates_with_cache(
-            cache,
-            result,
-            &request.suspicious_outputs,
-            &examples,
-            &request.metric,
-            all_predicates,
-            &request.config.ranker,
-        )?,
+        _ => None,
     };
+    let ranked = rank(
+        shard_cache.as_ref().map_or(Aggregates::Table(cache), Aggregates::Shards),
+        result,
+        &request.suspicious_outputs,
+        &examples,
+        &request.metric,
+        all_predicates,
+        &request.config.ranker,
+    )?;
     let rank_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     Ok(Explanation {

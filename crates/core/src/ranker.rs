@@ -9,19 +9,34 @@
 //! predicate" — the query result with the predicate's matching tuples
 //! excluded — and measures how much ε improves over the user-selected
 //! outputs. Instead of re-executing the full SQL statement per candidate,
-//! it asks a [`GroupedAggregateCache`] built once per ranking: a single
-//! pass over the table classifies each row under SQL three-valued logic
-//! (matching the semantics of rewriting the query with `AND NOT predicate`)
-//! and only the touched groups' aggregate states are re-derived. Candidates
-//! are scored in parallel across scoped threads; each candidate's score is
-//! independent, so the ranking is deterministic regardless of thread count.
+//! it compiles the candidate to a
+//! [`CompiledBoolExpr`](dbwipes_storage::CompiledBoolExpr), folds it over
+//! cached per-condition bitmaps under SQL three-valued logic (the semantics
+//! of rewriting the query with `AND NOT predicate`), and asks an aggregate
+//! cache built once per ranking to re-derive only the touched groups.
+//!
+//! One scoring loop serves any number of shards. A single-table ranking
+//! ([`rank_predicates_with_cache`]) is the one-shard case over the base
+//! table and its [`GroupedAggregateCache`]: no rows are copied, and the
+//! condition bitmaps stay keyed on the base table, so the warm bitmap
+//! store keeps hitting. A partitioned ranking ([`rank_predicates_sharded`])
+//! runs each condition kernel per shard, skips the (shard, condition)
+//! pairs `ShardedTable::condition_may_match` proves empty (an exact
+//! all-FALSE substitution, so a `NOT` over a pruned leaf correctly turns
+//! all-TRUE), and sums popcounts in ascending shard order. Only the final
+//! ε re-derivation knows the shard count: [`ShardedAggregateCache`] merges
+//! per-shard aggregate states, so the ranking is identical to the
+//! single-table one whenever the merge is exact (always for one shard).
+//! Candidates are scored in parallel; each score is independent, so the
+//! ranking does not depend on the thread count either.
 
 use crate::error::CoreError;
 use crate::metric::ErrorMetric;
 use crate::parallel::map_chunked;
-use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult};
+use dbwipes_engine::{ExclusionQuery, GroupedAggregateCache, QueryResult, ShardedAggregateCache};
 use dbwipes_storage::{
-    Candidate, ConditionBitmapCache, ConjunctivePredicate, DataType, RowId, RowSet, Table, Value,
+    Candidate, Condition, ConditionBitmapCache, ConjunctivePredicate, RowId, RowSet, StorageError,
+    Table, Value,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -127,21 +142,125 @@ pub fn rank_predicates_with_cache<P: Candidate>(
     predicates: Vec<P>,
     config: &RankerConfig,
 ) -> Result<Vec<RankedPredicate<P>>, CoreError> {
-    let error_before = metric.evaluate_result(result, selected);
+    rank(Aggregates::Table(cache), result, selected, examples, metric, predicates, config)
+}
+
+/// [`rank_predicates_with_cache`] shard-parallel over a pre-built
+/// [`ShardedAggregateCache`]; `examples` and the selected outputs' input
+/// rows are given in *base-table* row ids and routed through the
+/// partition's row-id mapping internally.
+pub fn rank_predicates_sharded<P: Candidate>(
+    cache: &ShardedAggregateCache,
+    result: &QueryResult,
+    selected: &[usize],
+    examples: &[RowId],
+    metric: &ErrorMetric,
+    predicates: Vec<P>,
+    config: &RankerConfig,
+) -> Result<Vec<RankedPredicate<P>>, CoreError> {
+    rank(Aggregates::Shards(cache), result, selected, examples, metric, predicates, config)
+}
+
+/// The aggregate cache a ranking re-derives ε from: the base table's own,
+/// or one per shard of a partition.
+#[derive(Clone, Copy)]
+pub(crate) enum Aggregates<'a, 't> {
+    /// The one-shard case: the base table and its cache.
+    Table(&'a GroupedAggregateCache<'t>),
+    /// A partition, merged in ascending shard order.
+    Shards(&'a ShardedAggregateCache),
+}
+
+impl<'a> Aggregates<'a, '_> {
+    /// Each shard's table and the cache's filter-passing rows on it.
+    fn shards(self) -> Vec<(&'a Table, &'a RowSet)> {
+        match self {
+            Aggregates::Table(cache) => vec![(cache.table(), cache.membership())],
+            Aggregates::Shards(cache) => cache
+                .sharded()
+                .shards()
+                .iter()
+                .zip(cache.shard_caches())
+                .map(|(table, shard)| (table.as_ref(), shard.membership()))
+                .collect(),
+        }
+    }
+
+    /// Base-table rows as one local bitmap per shard (rows outside the
+    /// table drop).
+    fn split(&self, rows: &[RowId]) -> Vec<RowSet> {
+        match self {
+            Aggregates::Table(cache) => {
+                let n = cache.table().num_rows();
+                vec![RowSet::from_rows(n, rows.iter().filter(|r| r.index() < n))]
+            }
+            Aggregates::Shards(cache) => {
+                let sharded = cache.sharded();
+                sharded
+                    .split_rows(rows)
+                    .iter()
+                    .zip(sharded.shards())
+                    .map(|(locals, t)| RowSet::from_rows(t.num_rows(), locals.iter()))
+                    .collect()
+            }
+        }
+    }
+
+    /// Whether `cond` can match on shard `s` (the zone-map prune).
+    fn may_match(&self, s: usize, cond: &Condition) -> bool {
+        match self {
+            Aggregates::Table(_) => true,
+            Aggregates::Shards(cache) => cache.sharded().condition_may_match(s, cond),
+        }
+    }
+
+    /// The selected groups' rows with each shard's `excluded` rows removed.
+    fn cleaned(&self, excluded: &[RowSet], keys: &[Vec<Value>]) -> QueryResult {
+        match self {
+            Aggregates::Table(cache) => {
+                cache.result(&ExclusionQuery::new().excluding_set(&excluded[0]).for_keys(keys))
+            }
+            Aggregates::Shards(cache) => cache.result_excluding_keys_local_sets(excluded, keys),
+        }
+    }
+}
+
+/// The ranking loop behind [`rank_predicates_with_cache`] and
+/// [`rank_predicates_sharded`].
+pub(crate) fn rank<P: Candidate>(
+    aggregates: Aggregates<'_, '_>,
+    result: &QueryResult,
+    selected: &[usize],
+    examples: &[RowId],
+    metric: &ErrorMetric,
+    predicates: Vec<P>,
+    config: &RankerConfig,
+) -> Result<Vec<RankedPredicate<P>>, CoreError> {
     let f_rows: Vec<RowId> = result.inputs_of_rows(selected);
-    let num_rows = cache.table().num_rows();
-    let in_range = |r: &&RowId| r.index() < num_rows;
+    let f_sets = aggregates.split(&f_rows);
+    let example_sets = aggregates.split(examples);
+    let shards = aggregates
+        .shards()
+        .into_iter()
+        .zip(f_sets.into_iter().zip(example_sets))
+        .map(|((table, membership), (f_rows, examples))| Shard {
+            table,
+            membership,
+            bitmaps: ConditionBitmapCache::new(table),
+            f_rows,
+            examples,
+        })
+        .collect();
     let ctx = ScoreContext {
-        cache,
-        bitmaps: ConditionBitmapCache::new(cache.table()),
-        error_before,
+        aggregates,
+        shards,
+        error_before: metric.evaluate_result(result, selected),
         // Group keys of the selected outputs, used to find the same groups
         // in the incrementally cleaned result.
         selected_keys: selected.iter().filter_map(|&i| result.group_keys.get(i).cloned()).collect(),
-        f_rowset: RowSet::from_rows(num_rows, f_rows.iter().filter(in_range)),
-        example_rowset: RowSet::from_rows(num_rows, examples.iter().filter(in_range)),
-        f_set: f_rows.iter().copied().collect(),
-        example_set: examples.iter().copied().collect(),
+        // The recall denominator counts every distinct example the user
+        // gave, in-table or not.
+        example_count: examples.iter().collect::<BTreeSet<_>>().len(),
         metric,
         config,
     };
@@ -154,13 +273,20 @@ pub fn rank_predicates_with_cache<P: Candidate>(
         .filter(|p| !p.is_trivial() && seen.insert(p.canonical_key()))
         .collect();
 
-    // Warm the condition-bitmap cache serially: the candidates share leaf
+    // Warm the condition bitmaps serially: the candidates share leaf
     // conditions drawn from one pool, so each distinct condition's column
-    // kernel runs exactly once here, and the parallel scoring pass below
-    // is pure bitmap combining over cache hits.
+    // kernel runs exactly once per shard here, skipping every (shard,
+    // condition) pair the zone maps prune, and the parallel scoring pass
+    // below is pure bitmap combining over cache hits. On a hash partition
+    // over an equality-heavy pool this is where the shard speedup comes
+    // from: each equality kernel scans one shard, not the whole table.
     for candidate in &candidates {
         for condition in candidate.leaf_conditions() {
-            let _ = ctx.bitmaps.condition(ctx.cache.table(), &condition);
+            for (s, shard) in ctx.shards.iter().enumerate() {
+                if ctx.aggregates.may_match(s, &condition) {
+                    let _ = shard.bitmaps.condition(shard.table, &condition);
+                }
+            }
         }
     }
 
@@ -173,34 +299,29 @@ pub fn rank_predicates_with_cache<P: Candidate>(
     Ok(ranked)
 }
 
-/// The per-ranking state shared by every candidate's scoring pass.
-struct ScoreContext<'a, 't> {
-    cache: &'a GroupedAggregateCache<'t>,
+/// One scoring unit: a table (the base table, or one shard of it) with
+/// its row-level evidence as local bitmaps.
+struct Shard<'a> {
+    table: &'a Table,
+    /// The aggregate cache's filter-passing rows.
+    membership: &'a RowSet,
     /// Condition bitmaps shared across candidates (warmed before scoring).
     bitmaps: ConditionBitmapCache,
-    error_before: f64,
-    selected_keys: Vec<Vec<Value>>,
-    /// F as a bitmap (bitmap scoring path).
-    f_rowset: RowSet,
-    /// D′ as a bitmap (bitmap scoring path).
-    example_rowset: RowSet,
-    /// F as an ordered set (scalar fallback path).
-    f_set: BTreeSet<RowId>,
-    /// D′ as an ordered set (scalar fallback path; also the recall
-    /// denominator, which counts every distinct example the user gave,
-    /// in-table or not).
-    example_set: BTreeSet<RowId>,
-    metric: &'a ErrorMetric,
-    config: &'a RankerConfig,
+    /// F, the inputs of the selected outputs.
+    f_rows: RowSet,
+    /// D′, the user's example tuples.
+    examples: RowSet,
 }
 
-/// The per-candidate evidence both scoring paths produce: match counts,
-/// example agreement, and the incrementally cleaned partial result.
-struct CandidateEvidence {
-    matched_rows: usize,
-    matched_in_f: usize,
-    true_positives: usize,
-    cleaned: QueryResult,
+/// The per-ranking state shared by every candidate's scoring pass.
+struct ScoreContext<'a, 't> {
+    aggregates: Aggregates<'a, 't>,
+    shards: Vec<Shard<'a>>,
+    error_before: f64,
+    selected_keys: Vec<Vec<Value>>,
+    example_count: usize,
+    metric: &'a ErrorMetric,
+    config: &'a RankerConfig,
 }
 
 /// Scores one candidate under three-valued logic — rows where the
@@ -209,23 +330,40 @@ struct CandidateEvidence {
 /// rewrite would drop them — then the cache re-derives only the touched
 /// groups.
 ///
-/// The default path is vectorized: each leaf condition's cached bitmap
-/// (one columnar kernel scan per *distinct* condition per ranking) is
-/// combined with word-level AND/OR/NOT, match/agreement counts are
-/// popcounts, and the exclusion set flows into the aggregate cache as a
-/// bitmap. Candidates the typed compiler cannot express fall back to the
-/// per-row scalar walk.
+/// Per shard, the candidate's compiled tree folds the cached leaf bitmaps
+/// (zone-pruned leaves substituted by all-FALSE instead of kernel scans)
+/// with word-level AND/OR/NOT, match and agreement counts are popcounts,
+/// and the exclusion set flows into the aggregate cache as a bitmap. A
+/// candidate whose leaves do not compile is refused with the error
+/// executing its rewrite would report.
 fn score_candidate<P: Candidate>(
     ctx: &ScoreContext<'_, '_>,
     predicate: &P,
 ) -> Result<RankedPredicate<P>, CoreError> {
-    let evidence = match predicate.tri_eval(&ctx.bitmaps, ctx.cache.table()) {
-        // A compiled candidate is well-typed by construction, so the
-        // scalar path's expression validation cannot fail here.
-        Some(tri) => score_bitmaps(ctx, tri),
-        None => score_scalar(ctx, predicate)?,
-    };
-    let CandidateEvidence { matched_rows, matched_in_f, true_positives, cleaned } = evidence;
+    let mut matched_rows = 0usize;
+    let mut matched_in_f = 0usize;
+    let mut true_positives = 0usize;
+    let mut excluded: Vec<RowSet> = Vec::with_capacity(ctx.shards.len());
+    for (s, shard) in ctx.shards.iter().enumerate() {
+        let live = |c: &Condition| ctx.aggregates.may_match(s, c);
+        let tri = predicate
+            .tri_eval_pruned(&shard.bitmaps, shard.table, &live)
+            .map_err(|e| uncompiled(predicate, shard.table, e))?;
+        let matched = tri.trues.and(shard.bitmaps.visible());
+        // TRUE-or-NULL rows among the cache's filter-passing inputs: the
+        // `AND NOT predicate` rewrite drops exactly these.
+        let mut exc = tri.passes_or_unknown();
+        exc.and_assign(shard.membership);
+        let in_f = matched.and(&shard.f_rows);
+        matched_rows += matched.count_ones();
+        matched_in_f += in_f.count_ones();
+        true_positives += in_f.intersection_count(&shard.examples);
+        excluded.push(exc);
+    }
+    // Only the brushed groups matter for ε: ask the cache for exactly
+    // those keys instead of materialising (and re-sorting) every group.
+    let cleaned = ctx.aggregates.cleaned(&excluded, &ctx.selected_keys);
+
     let error_before = ctx.error_before;
     let error_after = error_over_keys(&cleaned, &ctx.selected_keys, ctx.metric);
     let improvement = if error_before > 0.0 {
@@ -237,7 +375,7 @@ fn score_candidate<P: Candidate>(
     // Agreement with the user's examples, measured within F.
     let tp = true_positives as f64;
     let precision = if matched_in_f == 0 { 0.0 } else { tp / matched_in_f as f64 };
-    let recall = if ctx.example_set.is_empty() { 0.0 } else { tp / ctx.example_set.len() as f64 };
+    let recall = if ctx.example_count == 0 { 0.0 } else { tp / ctx.example_count as f64 };
     let example_f1 = if precision + recall == 0.0 {
         0.0
     } else {
@@ -260,73 +398,14 @@ fn score_candidate<P: Candidate>(
     })
 }
 
-/// The vectorized scoring path: bitmap intersections and popcounts only.
-fn score_bitmaps(ctx: &ScoreContext<'_, '_>, tri: dbwipes_storage::TriSet) -> CandidateEvidence {
-    let matched = tri.trues.and(ctx.bitmaps.visible());
-    // TRUE-or-NULL rows among the cache's filter-passing inputs: the
-    // `AND NOT predicate` rewrite drops exactly these.
-    let mut excluded = tri.passes_or_unknown();
-    excluded.and_assign(ctx.cache.membership());
-    // Only the brushed groups matter for ε: ask the cache for exactly
-    // those keys instead of materialising (and re-sorting) every group.
-    let cleaned = ctx
-        .cache
-        .result(&ExclusionQuery::new().excluding_set(&excluded).for_keys(&ctx.selected_keys));
-    let matched_in_f = matched.and(&ctx.f_rowset);
-    CandidateEvidence {
-        matched_rows: matched.count_ones(),
-        matched_in_f: matched_in_f.count_ones(),
-        true_positives: matched_in_f.intersection_count(&ctx.example_rowset),
-        cleaned,
+/// The error for a candidate that does not compile: the one validating its
+/// `AND NOT predicate` rewrite reports (a kernel refuses exactly the leaves
+/// validation refuses), else the compiler's own.
+fn uncompiled<P: Candidate>(predicate: &P, table: &Table, compile: StorageError) -> CoreError {
+    match predicate.to_expr().validate(table.schema()) {
+        Err(e) => e.into(),
+        Ok(_) => compile.into(),
     }
-}
-
-/// The scalar fallback for predicates outside the typed-kernel fragment:
-/// one expression walk per visible row.
-fn score_scalar<P: Candidate>(
-    ctx: &ScoreContext<'_, '_>,
-    predicate: &P,
-) -> Result<CandidateEvidence, CoreError> {
-    let cache = ctx.cache;
-    let table = cache.table();
-    // The same validation executing the rewritten statement would perform.
-    let p_expr = predicate.to_expr();
-    let t = p_expr.validate(table.schema())?;
-    if !matches!(t, DataType::Bool | DataType::Null) {
-        return Err(CoreError::invalid(format!("predicate must be boolean, found {t}")));
-    }
-
-    let mut matched: Vec<RowId> = Vec::new();
-    let mut excluded: Vec<RowId> = Vec::new();
-    for rid in table.visible_row_ids() {
-        match p_expr.eval(table, rid)? {
-            Value::Bool(true) => {
-                matched.push(rid);
-                if cache.contains(rid) {
-                    excluded.push(rid);
-                }
-            }
-            Value::Bool(false) => {}
-            // NULL: the row satisfies neither the predicate nor its
-            // negation, so the rewrite's WHERE drops it.
-            _ => {
-                if cache.contains(rid) {
-                    excluded.push(rid);
-                }
-            }
-        }
-    }
-
-    let cleaned =
-        cache.result(&ExclusionQuery::new().excluding_rows(&excluded).for_keys(&ctx.selected_keys));
-    let matched_in_f: Vec<&RowId> = matched.iter().filter(|r| ctx.f_set.contains(r)).collect();
-    let true_positives = matched_in_f.iter().filter(|r| ctx.example_set.contains(r)).count();
-    Ok(CandidateEvidence {
-        matched_rows: matched.len(),
-        matched_in_f: matched_in_f.len(),
-        true_positives,
-        cleaned,
-    })
 }
 
 /// Evaluates the metric over the rows of `result` whose group keys match
@@ -580,5 +659,254 @@ mod tests {
             assert_eq!(a.predicate, b.predicate);
             assert_eq!(a.score, b.score);
         }
+    }
+}
+
+/// The sharded ranking against the single-table one, on a fixture whose
+/// dyadic temperatures make shard merges exact.
+#[cfg(test)]
+mod shard_tests {
+    use super::*;
+    use dbwipes_engine::execute_sql;
+    use dbwipes_storage::{Catalog, DataType, PredicateTree, Schema, ShardedTable};
+    use std::sync::Arc;
+
+    /// Window 1 polluted by sensor 7 (dyadic temps → exact shard merges).
+    fn setup() -> (Catalog, Vec<RowId>) {
+        let mut t = Table::new(
+            "readings",
+            Schema::of(&[
+                ("window", DataType::Int),
+                ("sensorid", DataType::Int),
+                ("temp", DataType::Float),
+            ]),
+        )
+        .unwrap();
+        let mut broken = Vec::new();
+        for i in 0..240i64 {
+            let window = i % 2;
+            let sensor = i % 12;
+            let is_broken = sensor == 7 && window == 1;
+            let temp = if is_broken { 120.0 } else { 20.0 + (i % 5) as f64 * 0.25 };
+            let rid = t
+                .push_row(vec![Value::Int(window), Value::Int(sensor), Value::Float(temp)])
+                .unwrap();
+            if is_broken {
+                broken.push(rid);
+            }
+        }
+        let mut c = Catalog::new();
+        c.register(t).unwrap();
+        (c, broken)
+    }
+
+    fn candidate_pool() -> Vec<ConjunctivePredicate> {
+        let mut pool: Vec<ConjunctivePredicate> = (0..12)
+            .map(|s| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]))
+            .collect();
+        pool.push(ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]));
+        pool.push(ConjunctivePredicate::new(vec![
+            Condition::equals("sensorid", 7),
+            Condition::above("temp", 100.0),
+        ]));
+        pool.push(ConjunctivePredicate::new(vec![Condition::between("temp", 20.0, 21.0)]));
+        pool
+    }
+
+    #[test]
+    fn sharded_ranking_matches_unsharded() {
+        let (c, broken) = setup();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let config = RankerConfig { max_results: 20, ..Default::default() };
+
+        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
+        let baseline = rank_predicates_with_cache(
+            &flat_cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            candidate_pool(),
+            &config,
+        )
+        .unwrap();
+
+        for shards in [1usize, 4, 7] {
+            let st = Arc::new(ShardedTable::hash(table, "sensorid", shards).unwrap());
+            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+            let ranked = rank_predicates_sharded(
+                &cache,
+                &r,
+                &[1],
+                &broken,
+                &metric,
+                candidate_pool(),
+                &config,
+            )
+            .unwrap();
+            assert_eq!(ranked.len(), baseline.len(), "{shards} shards");
+            for (a, b) in ranked.iter().zip(&baseline) {
+                assert_eq!(a.predicate, b.predicate, "{shards} shards");
+                assert_eq!(a.score, b.score, "{shards} shards: {}", a.predicate);
+                assert_eq!(a.error_after, b.error_after, "{shards} shards");
+                assert_eq!(a.matched_rows, b.matched_rows, "{shards} shards");
+                assert_eq!(a.example_f1, b.example_f1, "{shards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn range_partition_ranking_matches_unsharded() {
+        let (c, broken) = setup();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let config = RankerConfig::default();
+
+        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
+        let baseline = rank_predicates_with_cache(
+            &flat_cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            candidate_pool(),
+            &config,
+        )
+        .unwrap();
+
+        let st = Arc::new(ShardedTable::range(table, "temp", 3).unwrap());
+        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+        let ranked =
+            rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, candidate_pool(), &config)
+                .unwrap();
+        assert_eq!(ranked.len(), baseline.len());
+        for (a, b) in ranked.iter().zip(&baseline) {
+            assert_eq!(a.predicate, b.predicate);
+            assert_eq!(a.score, b.score, "{}", a.predicate);
+        }
+        // Range sharding on temp prunes `temp > 100` down to a single
+        // shard; sanity-check the pruning really fires.
+        let hot = Condition::above("temp", 100.0);
+        let may: Vec<bool> = (0..cache.sharded().num_shards())
+            .map(|s| cache.sharded().condition_may_match(s, &hot))
+            .collect();
+        assert!(may.iter().filter(|&&m| m).count() < cache.sharded().num_shards());
+    }
+
+    /// OR-of-conjunction and negated candidates: the disjunctive pool the
+    /// boolean-algebra layer exists for. Sharded scoring (with per-leaf
+    /// zone pruning) must agree exactly with the unsharded bitmap path on
+    /// hash *and* range partitions.
+    #[test]
+    fn sharded_tree_candidates_match_unsharded() {
+        let (c, broken) = setup();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let config = RankerConfig { max_results: 30, ..Default::default() };
+
+        let eq = |s: i64| ConjunctivePredicate::new(vec![Condition::equals("sensorid", s)]);
+        let hot = ConjunctivePredicate::new(vec![Condition::above("temp", 100.0)]);
+        let pool = || -> Vec<PredicateTree> {
+            let mut pool: Vec<PredicateTree> =
+                (0..12).map(|s| PredicateTree::any_of(vec![eq(s), hot.clone()])).collect();
+            pool.push(PredicateTree::negation(eq(7)));
+            pool.push(PredicateTree::negation(hot.clone()));
+            pool.push(PredicateTree::Not(Box::new(PredicateTree::any_of(vec![eq(7), eq(3)]))));
+            pool.push(PredicateTree::And(vec![
+                PredicateTree::any_of(vec![eq(7), eq(3)]),
+                PredicateTree::negation(ConjunctivePredicate::new(vec![Condition::between(
+                    "temp", 20.0, 21.0,
+                )])),
+            ]));
+            // An all-branches-prunable OR (sensors that do not exist).
+            pool.push(PredicateTree::any_of(vec![eq(777), eq(888)]));
+            pool
+        };
+
+        let flat_cache = GroupedAggregateCache::build(table, &r.statement).unwrap();
+        let baseline =
+            rank_predicates_with_cache(&flat_cache, &r, &[1], &broken, &metric, pool(), &config)
+                .unwrap();
+        assert!(!baseline.is_empty());
+        // The negated pollution predicate must not win (removing everything
+        // *but* the broken sensor leaves the inflated readings in place).
+        assert!(baseline[0].predicate.to_string().contains("OR"), "{}", baseline[0].predicate);
+
+        for (strategy, shards) in [("hash", 4usize), ("hash", 7), ("range", 3)] {
+            let st = Arc::new(match strategy {
+                "hash" => ShardedTable::hash(table, "sensorid", shards).unwrap(),
+                _ => ShardedTable::range(table, "temp", shards).unwrap(),
+            });
+            let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+            let ranked =
+                rank_predicates_sharded(&cache, &r, &[1], &broken, &metric, pool(), &config)
+                    .unwrap();
+            assert_eq!(ranked.len(), baseline.len(), "{strategy}/{shards}");
+            for (a, b) in ranked.iter().zip(&baseline) {
+                assert_eq!(a.predicate, b.predicate, "{strategy}/{shards}");
+                assert_eq!(a.score, b.score, "{strategy}/{shards}: {}", a.predicate);
+                assert_eq!(a.error_after, b.error_after, "{strategy}/{shards}");
+                assert_eq!(a.matched_rows, b.matched_rows, "{strategy}/{shards}");
+                assert_eq!(a.example_f1, b.example_f1, "{strategy}/{shards}");
+            }
+        }
+    }
+
+    /// On a hash partition, a `NOT (sensorid = k)` candidate must stay
+    /// conservative: the shard holding sensor k is the only one where the
+    /// equality can match, but its *negation* matches rows on every shard.
+    #[test]
+    fn negated_equality_is_never_pruned_to_empty() {
+        let (c, broken) = setup();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let st = Arc::new(ShardedTable::hash(table, "sensorid", 4).unwrap());
+        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+        let eq7 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 7)]);
+        // The positive equality prunes to one shard...
+        let live_shards = (0..4)
+            .filter(|&s| cache.sharded().condition_may_match(s, &Condition::equals("sensorid", 7)))
+            .count();
+        assert_eq!(live_shards, 1);
+        // ...while its negation still matches all 220 non-sensor-7 rows.
+        let ranked = rank_predicates_sharded(
+            &cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            vec![PredicateTree::negation(eq7)],
+            &RankerConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(ranked[0].matched_rows, 220);
+    }
+
+    #[test]
+    fn invalid_scalar_predicate_errors_like_unsharded() {
+        let (c, broken) = setup();
+        let table = c.table("readings").unwrap();
+        let r = execute_sql(&c, "SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        let metric = ErrorMetric::too_high("avg_temp", 25.0);
+        let st = Arc::new(ShardedTable::hash(table, "sensorid", 3).unwrap());
+        let cache = ShardedAggregateCache::build(st, &r.statement).unwrap();
+        // `contains` on a missing column fails validation in the scalar path.
+        let bad = ConjunctivePredicate::new(vec![Condition::contains("no_such_column", "x")]);
+        let err = rank_predicates_sharded(
+            &cache,
+            &r,
+            &[1],
+            &broken,
+            &metric,
+            vec![bad],
+            &RankerConfig::default(),
+        );
+        assert!(err.is_err());
     }
 }

@@ -18,6 +18,14 @@ pub enum EngineError {
     Plan(String),
     /// An error bubbled up from the storage layer.
     Storage(StorageError),
+    /// An expression nests deeper than the parser accepts (see
+    /// [`MAX_EXPR_DEPTH`](crate::parser::MAX_EXPR_DEPTH)).
+    TooDeep {
+        /// The depth bound that was exceeded.
+        limit: usize,
+        /// Byte offset in the input where the bound was crossed.
+        position: usize,
+    },
 }
 
 impl EngineError {
@@ -40,6 +48,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::Plan(msg) => write!(f, "planning error: {msg}"),
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
+            EngineError::TooDeep { limit, position } => {
+                write!(f, "expression nests deeper than {limit} levels at byte {position}")
+            }
         }
     }
 }

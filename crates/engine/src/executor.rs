@@ -130,41 +130,22 @@ pub fn execute(
 /// Scan stage: the visible rows that satisfy the WHERE clause, in scan
 /// order.
 ///
-/// WHERE clauses that are pure conjunctions of per-attribute comparisons
-/// (the shape parsed queries and predicate rewrites overwhelmingly take)
-/// are evaluated through the storage crate's vectorized condition kernels —
-/// one typed column scan per conjunct plus a bitmap intersection — instead
-/// of the per-row expression walk. Disjunctive and negated clauses
-/// (arbitrary `AND`/`OR`/`NOT` trees over those comparisons, the exclusion
-/// rewrites "clean as you query" emits) compile through
-/// [`dbwipes_storage::CompiledBoolExpr`] into the same kernels folded with
-/// word-level bitmap ops. Anything outside both fragments keeps the scalar
-/// path; all three produce identical row sets under SQL three-valued logic
-/// (only rows where the clause is TRUE survive).
+/// [`Expr::filter`](dbwipes_storage::Expr::filter) evaluates any clause
+/// that compiles — conjunctions, and the disjunctive and negated exclusion
+/// rewrites "clean as you query" emits — through the storage crate's
+/// vectorized condition kernels folded with word-level bitmap ops, and
+/// keeps the per-row expression walk for anything else (arithmetic,
+/// column-to-column comparisons, `IS NULL`). Both produce identical row
+/// sets under SQL three-valued logic (only rows where the clause is TRUE
+/// survive).
 pub(crate) fn scan_filter(
     table: &Table,
     stmt: &SelectStatement,
 ) -> Result<Vec<RowId>, EngineError> {
-    let Some(pred) = &stmt.where_clause else {
-        return Ok(table.visible_row_ids().collect());
-    };
-    if let Some(conjunctive) = dbwipes_storage::ConjunctivePredicate::from_conjunctive_expr(pred) {
-        if let Ok(compiled) = conjunctive.compile(table) {
-            return Ok(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids());
-        }
+    match &stmt.where_clause {
+        Some(pred) => Ok(pred.filter(table)?),
+        None => Ok(table.visible_row_ids().collect()),
     }
-    if let Ok(compiled) = dbwipes_storage::CompiledBoolExpr::compile(pred, table) {
-        dbwipes_storage::note_bool_vectorized();
-        return Ok(compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids());
-    }
-    dbwipes_storage::note_bool_fallback();
-    let mut filtered: Vec<RowId> = Vec::new();
-    for rid in table.visible_row_ids() {
-        if pred.matches(table, rid)? {
-            filtered.push(rid);
-        }
-    }
-    Ok(filtered)
 }
 
 /// [`scan_filter`] restricted to the row suffix starting at physical index

@@ -83,7 +83,7 @@ pub use ast::{
 pub use error::EngineError;
 pub use executor::{execute, execute_on_catalog, execute_sql, ExecOptions};
 pub use incremental::{CacheFingerprint, ExclusionQuery, GroupedAggregateCache};
-pub use parser::{parse_expr, parse_select};
+pub use parser::{parse_expr, parse_select, MAX_EXPR_DEPTH, MAX_EXPR_NESTING};
 pub use result::QueryResult;
 pub use sharded::ShardedAggregateCache;
 pub use snapshot::{decode_cache, encode_cache};

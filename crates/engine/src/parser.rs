@@ -15,6 +15,24 @@ use crate::lexer::{tokenize, Token, TokenKind};
 use dbwipes_storage::{Expr, Value};
 use std::ops::{Add as _, Div as _, Mul as _, Neg as _, Not as _, Sub as _};
 
+/// The most levels an expression tree may nest. Every node the parser
+/// builds counts — `NOT`s, signs, and each link of a left-deep `AND` /
+/// `OR` / comparison / arithmetic chain — so the bound caps every later
+/// recursion over the tree (validation, evaluation, compilation,
+/// rendering, drop). Deeper input is refused with
+/// [`EngineError::TooDeep`] instead of overflowing the stack.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// The most parentheses, `NOT`s and unary signs that may enclose one
+/// token. Each costs the recursive-descent parser a full pass through
+/// its precedence levels (about 12 KiB of stack per level in a debug
+/// build), so this bound is tighter than [`MAX_EXPR_DEPTH`]; chains are
+/// parsed by loops and do not count here.
+pub const MAX_EXPR_NESTING: usize = 32;
+
+/// A parsed expression and the depth of its tree (a leaf is 1).
+type Parsed = (Expr, usize);
+
 /// Parses a single SELECT statement.
 pub fn parse_select(sql: &str) -> Result<SelectStatement, EngineError> {
     let mut p = Parser::new(sql)?;
@@ -36,11 +54,36 @@ pub fn parse_expr(text: &str) -> Result<Expr, EngineError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Open parentheses, `NOT`s and unary signs around the current token.
+    nesting: usize,
 }
 
 impl Parser {
     fn new(input: &str) -> Result<Self, EngineError> {
-        Ok(Parser { tokens: tokenize(input)?, pos: 0 })
+        Ok(Parser { tokens: tokenize(input)?, pos: 0, nesting: 0 })
+    }
+
+    /// Enters one level of parser recursion, refused past
+    /// [`MAX_EXPR_NESTING`].
+    fn descend(&mut self) -> Result<(), EngineError> {
+        self.nesting += 1;
+        if self.nesting > MAX_EXPR_NESTING {
+            return Err(EngineError::TooDeep {
+                limit: MAX_EXPR_NESTING,
+                position: self.position(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The depth of a new node over children of the given depths, refused
+    /// past [`MAX_EXPR_DEPTH`].
+    fn node(&self, children: &[usize]) -> Result<usize, EngineError> {
+        let depth = 1 + children.iter().copied().max().unwrap_or(0);
+        if depth > MAX_EXPR_DEPTH {
+            return Err(EngineError::TooDeep { limit: MAX_EXPR_DEPTH, position: self.position() });
+        }
+        Ok(depth)
     }
 
     fn peek(&self) -> &TokenKind {
@@ -223,43 +266,49 @@ impl Parser {
 
     /// expr := or
     fn parse_expr(&mut self) -> Result<Expr, EngineError> {
-        self.parse_or()
+        Ok(self.parse_or()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.parse_and()?;
+    fn parse_or(&mut self) -> Result<Parsed, EngineError> {
+        let (mut left, mut depth) = self.parse_and()?;
         while self.eat_keyword("OR") {
-            let right = self.parse_and()?;
+            let (right, d) = self.parse_and()?;
+            depth = self.node(&[depth, d])?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_and(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.parse_not()?;
+    fn parse_and(&mut self) -> Result<Parsed, EngineError> {
+        let (mut left, mut depth) = self.parse_not()?;
         while self.eat_keyword("AND") {
-            let right = self.parse_not()?;
+            let (right, d) = self.parse_not()?;
+            depth = self.node(&[depth, d])?;
             left = left.and(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn parse_not(&mut self) -> Result<Expr, EngineError> {
+    fn parse_not(&mut self) -> Result<Parsed, EngineError> {
         if self.eat_keyword("NOT") {
-            Ok(self.parse_not()?.not())
+            self.descend()?;
+            let (e, d) = self.parse_not()?;
+            self.nesting -= 1;
+            Ok((e.not(), self.node(&[d])?))
         } else {
             self.parse_comparison()
         }
     }
 
-    fn parse_comparison(&mut self) -> Result<Expr, EngineError> {
-        let left = self.parse_additive()?;
+    fn parse_comparison(&mut self) -> Result<Parsed, EngineError> {
+        let (left, dl) = self.parse_additive()?;
 
         // IS [NOT] NULL
         if self.eat_keyword("IS") {
             let negated = self.eat_keyword("NOT");
             self.expect_keyword("NULL")?;
-            return Ok(if negated { left.is_not_null() } else { left.is_null() });
+            let e = if negated { left.is_not_null() } else { left.is_null() };
+            return Ok((e, self.node(&[dl])?));
         }
 
         // [NOT] BETWEEN / IN / LIKE / CONTAINS
@@ -274,22 +323,38 @@ impl Parser {
         } else {
             false
         };
+        // `NOT BETWEEN` / `NOT LIKE` wrap their node in one more.
+        let negate = |p: &Self, (e, d): Parsed| -> Result<Parsed, EngineError> {
+            if negated {
+                Ok((e.not(), p.node(&[d])?))
+            } else {
+                Ok((e, d))
+            }
+        };
 
         if self.eat_keyword("BETWEEN") {
-            let low = self.parse_additive()?;
+            let (low, dlo) = self.parse_additive()?;
             self.expect_keyword("AND")?;
-            let high = self.parse_additive()?;
-            let e = left.between(low, high);
-            return Ok(if negated { e.not() } else { e });
+            let (high, dhi) = self.parse_additive()?;
+            let depth = self.node(&[dl, dlo, dhi])?;
+            return negate(self, (left.between(low, high), depth));
         }
         if self.eat_keyword("IN") {
             self.expect(TokenKind::LParen, "'(' after IN")?;
-            let mut list = vec![self.parse_expr()?];
-            while self.eat(&TokenKind::Comma) {
-                list.push(self.parse_expr()?);
+            let mut list = Vec::new();
+            let mut depths = vec![dl];
+            loop {
+                let (item, d) = self.parse_or()?;
+                list.push(item);
+                depths.push(d);
+                if !self.eat(&TokenKind::Comma) {
+                    break;
+                }
             }
             self.expect(TokenKind::RParen, "')' after IN list")?;
-            return Ok(if negated { left.not_in_list(list) } else { left.in_list(list) });
+            let depth = self.node(&depths)?;
+            let e = if negated { left.not_in_list(list) } else { left.in_list(list) };
+            return Ok((e, depth));
         }
         if self.eat_keyword("LIKE") || self.eat_keyword("CONTAINS") {
             let pattern = match self.advance() {
@@ -297,8 +362,8 @@ impl Parser {
                 _ => return Err(EngineError::parse("expected string pattern", self.position())),
             };
             let needle = pattern.trim_matches('%').to_string();
-            let e = left.contains(needle);
-            return Ok(if negated { e.not() } else { e });
+            let depth = self.node(&[dl])?;
+            return negate(self, (left.contains(needle), depth));
         }
 
         let op = match self.peek() {
@@ -312,88 +377,102 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let right = self.parse_additive()?;
-            return Ok(Expr::Binary { op, left: Box::new(left), right: Box::new(right) });
+            let (right, dr) = self.parse_additive()?;
+            let depth = self.node(&[dl, dr])?;
+            return Ok((Expr::Binary { op, left: Box::new(left), right: Box::new(right) }, depth));
         }
-        Ok(left)
+        Ok((left, dl))
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.parse_multiplicative()?;
+    fn parse_additive(&mut self) -> Result<Parsed, EngineError> {
+        let (mut left, mut depth) = self.parse_multiplicative()?;
         loop {
-            if self.eat(&TokenKind::Plus) {
-                left = left.add(self.parse_multiplicative()?);
+            let add = if self.eat(&TokenKind::Plus) {
+                true
             } else if self.eat(&TokenKind::Minus) {
-                left = left.sub(self.parse_multiplicative()?);
+                false
             } else {
-                return Ok(left);
-            }
+                return Ok((left, depth));
+            };
+            let (right, d) = self.parse_multiplicative()?;
+            depth = self.node(&[depth, d])?;
+            left = if add { left.add(right) } else { left.sub(right) };
         }
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.parse_unary()?;
+    fn parse_multiplicative(&mut self) -> Result<Parsed, EngineError> {
+        let (mut left, mut depth) = self.parse_unary()?;
         loop {
-            if self.eat(&TokenKind::Star) {
-                left = left.mul(self.parse_unary()?);
+            let mul = if self.eat(&TokenKind::Star) {
+                true
             } else if self.eat(&TokenKind::Slash) {
-                left = left.div(self.parse_unary()?);
+                false
             } else {
-                return Ok(left);
-            }
+                return Ok((left, depth));
+            };
+            let (right, d) = self.parse_unary()?;
+            depth = self.node(&[depth, d])?;
+            left = if mul { left.mul(right) } else { left.div(right) };
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, EngineError> {
+    fn parse_unary(&mut self) -> Result<Parsed, EngineError> {
         if self.eat(&TokenKind::Minus) {
+            self.descend()?;
+            let (inner, d) = self.parse_unary()?;
+            self.nesting -= 1;
             // Fold negation of literals so `-5` is a literal, not an expression.
-            let inner = self.parse_unary()?;
             return Ok(match inner {
-                Expr::Literal(Value::Int(v)) => Expr::Literal(Value::Int(-v)),
-                Expr::Literal(Value::Float(v)) => Expr::Literal(Value::Float(-v)),
-                other => other.neg(),
+                Expr::Literal(Value::Int(v)) => (Expr::Literal(Value::Int(-v)), d),
+                Expr::Literal(Value::Float(v)) => (Expr::Literal(Value::Float(-v)), d),
+                other => (other.neg(), self.node(&[d])?),
             });
         }
         if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
+            self.descend()?;
+            let parsed = self.parse_unary()?;
+            self.nesting -= 1;
+            return Ok(parsed);
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, EngineError> {
+    fn parse_primary(&mut self) -> Result<Parsed, EngineError> {
         let position = self.position();
-        match self.advance() {
-            TokenKind::Int(v) => Ok(Expr::Literal(Value::Int(v))),
-            TokenKind::Float(v) => Ok(Expr::Literal(Value::Float(v))),
-            TokenKind::Str(s) => Ok(Expr::Literal(Value::Str(s))),
+        let leaf = match self.advance() {
+            TokenKind::Int(v) => Expr::Literal(Value::Int(v)),
+            TokenKind::Float(v) => Expr::Literal(Value::Float(v)),
+            TokenKind::Str(s) => Expr::Literal(Value::Str(s)),
             TokenKind::LParen => {
-                let e = self.parse_expr()?;
+                self.descend()?;
+                let parsed = self.parse_or()?;
                 self.expect(TokenKind::RParen, "')'")?;
-                Ok(e)
+                self.nesting -= 1;
+                return Ok(parsed);
             }
             TokenKind::Ident(name) => {
                 if name.eq_ignore_ascii_case("true") {
-                    return Ok(Expr::Literal(Value::Bool(true)));
-                }
-                if name.eq_ignore_ascii_case("false") {
-                    return Ok(Expr::Literal(Value::Bool(false)));
-                }
-                if name.eq_ignore_ascii_case("null") {
-                    return Ok(Expr::Literal(Value::Null));
-                }
-                if is_reserved(&name) {
+                    Expr::Literal(Value::Bool(true))
+                } else if name.eq_ignore_ascii_case("false") {
+                    Expr::Literal(Value::Bool(false))
+                } else if name.eq_ignore_ascii_case("null") {
+                    Expr::Literal(Value::Null)
+                } else if is_reserved(&name) {
                     return Err(EngineError::parse(format!("unexpected keyword {name}"), position));
-                }
-                if matches!(self.peek(), TokenKind::LParen) {
+                } else if matches!(self.peek(), TokenKind::LParen) {
                     return Err(EngineError::parse(
                         format!("function calls are not allowed here: {name}(...)"),
                         position,
                     ));
+                } else {
+                    Expr::Column(name)
                 }
-                Ok(Expr::Column(name))
             }
-            other => Err(EngineError::parse(format!("unexpected token {other:?}"), position)),
-        }
+            other => {
+                return Err(EngineError::parse(format!("unexpected token {other:?}"), position))
+            }
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -524,6 +603,80 @@ mod tests {
         assert!(parse_expr("a LIKE 5").is_err());
         assert!(parse_expr("a BETWEEN 1").is_err());
         assert!(parse_expr("WHERE").is_err());
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack server workers get.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .expect("must not overflow a worker stack")
+    }
+
+    fn is_too_deep<T: std::fmt::Debug>(r: Result<T, EngineError>) -> bool {
+        matches!(r, Err(EngineError::TooDeep { .. }))
+    }
+
+    /// Each of these overflowed a 2 MiB stack before the bound: in the
+    /// parser (parentheses), while executing the statement (a flat chain of
+    /// 10,000 terms), or while dropping it (70,000 terms).
+    #[test]
+    fn deep_client_expressions_are_refused_on_a_worker_stack() {
+        let refused = on_worker_stack(|| {
+            let parens =
+                format!("SELECT a FROM t WHERE {}a{}", "(".repeat(100_000), ")".repeat(100_000));
+            let chain = |n: usize| {
+                format!("SELECT a FROM t WHERE {}temp > 1", "temp > 1 AND ".repeat(n - 1))
+            };
+            let nots = format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(100_000));
+            let signs = format!("SELECT a FROM t WHERE a = {}1", "- ".repeat(100_000));
+            let sums = format!("SELECT a FROM t WHERE a = 1{}", " + 1".repeat(10_000));
+            [
+                is_too_deep(parse_select(&parens)),
+                is_too_deep(parse_select(&chain(10_000))),
+                is_too_deep(parse_select(&chain(70_000))),
+                is_too_deep(parse_select(&nots)),
+                is_too_deep(parse_select(&signs)),
+                is_too_deep(parse_select(&sums)),
+            ]
+        });
+        assert_eq!(refused, [true; 6]);
+    }
+
+    /// Depth counts the tree the parser builds: a chain of `n` terms is
+    /// `n` levels deep, parentheses that build no node count only toward
+    /// the nesting bound, and input exactly at either bound is accepted.
+    #[test]
+    fn the_depth_bounds_are_exact() {
+        let chain = |n: usize| format!("{}a", "a OR ".repeat(n - 1));
+        assert!(parse_expr(&chain(MAX_EXPR_DEPTH)).is_ok());
+        assert!(is_too_deep(parse_expr(&chain(MAX_EXPR_DEPTH + 1))));
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&parens(MAX_EXPR_NESTING)).is_ok());
+        assert!(is_too_deep(parse_expr(&parens(MAX_EXPR_NESTING + 1))));
+        let nots = |n: usize| format!("{}a", "NOT ".repeat(n));
+        assert!(parse_expr(&nots(MAX_EXPR_NESTING)).is_ok());
+        assert!(is_too_deep(parse_expr(&nots(MAX_EXPR_NESTING + 1))));
+        // Chains inside the deepest parentheses still count toward depth.
+        let nested_chain = format!(
+            "{}{}{}",
+            "(".repeat(MAX_EXPR_NESTING),
+            chain(MAX_EXPR_DEPTH),
+            ")".repeat(MAX_EXPR_NESTING)
+        );
+        assert!(parse_expr(&nested_chain).is_ok());
+        let too_long = format!("{}a OR {}{}", "(".repeat(4), chain(MAX_EXPR_DEPTH), ")".repeat(4));
+        assert!(is_too_deep(parse_expr(&too_long)));
+        // Balanced nesting is as deep as its longest path, not its size.
+        let mut balanced = "a = 1".to_string();
+        for _ in 0..10 {
+            balanced = format!("({balanced}) AND ({balanced})");
+        }
+        assert!(parse_expr(&balanced).is_ok());
+        let err = parse_expr(&chain(MAX_EXPR_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("deeper than"), "{err}");
     }
 
     #[test]

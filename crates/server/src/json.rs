@@ -10,6 +10,35 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The most levels arrays and objects may nest. The parser recurses once
+/// per level, and so do rendering and dropping a value, so deeper input is
+/// refused with [`JsonError::TooDeep`] instead of overflowing the stack.
+/// Protocol requests nest a handful of levels.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// Why a document failed to parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// The input is not well-formed JSON.
+    Malformed(String),
+    /// Arrays and objects nest deeper than [`MAX_JSON_DEPTH`].
+    TooDeep {
+        /// Byte offset of the bracket that crossed the bound.
+        position: usize,
+    },
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::Malformed(message) => f.write_str(message),
+            JsonError::TooDeep { position } => {
+                write!(f, "nesting deeper than {MAX_JSON_DEPTH} levels at byte {position}")
+            }
+        }
+    }
+}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -95,13 +124,16 @@ impl Json {
     }
 
     /// Parses a JSON document (the whole input must be one value).
-    pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    pub fn parse(input: &str) -> Result<Json, JsonError> {
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0, too_deep_at: None };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value().map_err(|e| match p.too_deep_at {
+            Some(position) => JsonError::TooDeep { position },
+            None => JsonError::Malformed(e),
+        })?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
+            return Err(JsonError::Malformed(format!("trailing characters at byte {}", p.pos)));
         }
         Ok(value)
     }
@@ -168,6 +200,10 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current byte.
+    depth: usize,
+    /// Where the nesting bound was crossed, once it has been.
+    too_deep_at: Option<usize>,
 }
 
 impl Parser<'_> {
@@ -196,8 +232,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => {
+                self.too_deep_at = Some(self.pos);
+                Err(format!("nesting deeper than {MAX_JSON_DEPTH} levels"))
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let object = self.object();
+                self.depth -= 1;
+                object
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let array = self.array();
+                self.depth -= 1;
+                array
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -437,6 +487,30 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// Nesting past the bound is refused, not recursed into: this input
+    /// overflowed a 2 MiB worker stack before the bound existed.
+    #[test]
+    fn deep_nesting_is_refused_on_a_worker_sized_stack() {
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let deep = format!("{}{}", "[".repeat(50_000), "]".repeat(50_000));
+                let objects = format!("{}1{}", r#"{"a":"#.repeat(50_000), "}".repeat(50_000));
+                (Json::parse(&deep), Json::parse(&objects))
+            })
+            .unwrap()
+            .join()
+            .expect("parsing must not overflow the stack");
+        let limit = MAX_JSON_DEPTH;
+        assert_eq!(parsed.0, Err(JsonError::TooDeep { position: limit }));
+        assert_eq!(parsed.1, Err(JsonError::TooDeep { position: 5 * limit }));
+        // Exactly at the bound still parses.
+        let at_limit = format!("{}{}", "[".repeat(limit), "]".repeat(limit));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(limit + 1), "]".repeat(limit + 1));
+        assert!(Json::parse(&past).unwrap_err().to_string().contains("nesting deeper"));
     }
 
     #[test]

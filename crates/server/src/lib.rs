@@ -68,10 +68,8 @@ mod service;
 
 pub use client::LineClient;
 pub use durability::{StorageCounters, StorageHealth, StorageRuntime};
-pub use executor::{
-    serve_pooled, serve_thread_per_connection, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats,
-};
-pub use json::Json;
+pub use executor::{serve_pooled, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats};
+pub use json::{Json, JsonError, MAX_JSON_DEPTH};
 pub use manager::{DebugCacheReport, ServerSession, SessionId, SessionManager, StreamAppendReport};
 pub use protocol::{
     error_response, error_response_value, ok_response, ok_response_value, parse_request,

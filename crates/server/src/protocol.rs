@@ -50,7 +50,7 @@
 //! flag so the serving front-end (stdio loop or the pooled TCP executor)
 //! drains in-flight connections, flushes replies, and exits cleanly.
 
-use crate::json::Json;
+use crate::json::{Json, JsonError};
 use dbwipes_core::ErrorMetric;
 use dbwipes_dashboard::Brush;
 use dbwipes_storage::Value;
@@ -69,8 +69,10 @@ use dbwipes_storage::Value;
 /// 2 = streaming ingestion (`stream_append`, `protocol_version` markers);
 /// 3 = fault tolerance (structured error objects with `kind`/`retryable`,
 /// the `stats` `health` block, `stream_append`'s `durable` marker, the
-/// gated `crash` test hook).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// gated `crash` test hook); 4 = the `invalid` error kind for input nested
+/// past the depth bounds, and conjunctive WHERE clauses counted under
+/// `stats`' `bool_algebra.vectorized`.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,8 +266,21 @@ pub const WIRE_COMMANDS: &[&str] = &[
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    parse_request_value(&value)
+    parse_request_line(line).map_err(|e| e.to_string())
+}
+
+/// [`parse_request`] with the failure in its wire form: a line nested past
+/// [`MAX_JSON_DEPTH`](crate::json::MAX_JSON_DEPTH) answers a structured
+/// `invalid` error, any other malformed line the classic string error.
+pub(crate) fn parse_request_line(line: &str) -> Result<Request, WireError> {
+    let value = Json::parse(line).map_err(|e| {
+        let message = format!("invalid JSON: {e}");
+        match e {
+            JsonError::TooDeep { .. } => WireError::invalid(message),
+            JsonError::Malformed(_) => WireError::User(message),
+        }
+    })?;
+    parse_request_value(&value).map_err(WireError::User)
 }
 
 /// Parses one already-decoded request object (a top-level line or a
@@ -451,6 +466,8 @@ fn parse_brush(value: &Json) -> Result<Brush, String> {
 /// * `kind:"quarantined"` — the addressed session was poisoned by an
 ///   earlier panic and refuses further commands; siblings keep serving.
 ///   `retryable:false`: open a fresh session instead.
+/// * `kind:"invalid"` — the request nests deeper than the server's fixed
+///   bounds (JSON arrays/objects, SQL expressions); `retryable:false`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// A plain request failure; renders as the classic string `error`.
@@ -475,6 +492,12 @@ impl WireError {
     /// A command addressed to a quarantined (panic-poisoned) session.
     pub fn quarantined(message: impl Into<String>) -> Self {
         WireError::Structured { kind: "quarantined", retryable: false, message: message.into() }
+    }
+
+    /// A request nested past a fixed structural bound (JSON or SQL
+    /// expression depth), refused before it could exhaust the stack.
+    pub fn invalid(message: impl Into<String>) -> Self {
+        WireError::Structured { kind: "invalid", retryable: false, message: message.into() }
     }
 }
 

@@ -8,11 +8,11 @@
 use crate::executor::PoolStats;
 use crate::json::Json;
 use crate::manager::{ServerSession, SessionId, SessionManager};
-use crate::protocol::{ok_response_value, parse_request, wire_error_response_value};
+use crate::protocol::{ok_response_value, parse_request_line, wire_error_response_value};
 use crate::protocol::{Command, Request, WireError, PROTOCOL_VERSION};
 use dbwipes_core::{ComponentTimings, CoreError, Explanation, MetricKind};
 use dbwipes_dashboard::{PointRef, ScatterSeries};
-use dbwipes_engine::QueryResult;
+use dbwipes_engine::{EngineError, QueryResult};
 use dbwipes_storage::{ConditionBitmapCache, Value};
 
 impl SessionManager {
@@ -20,9 +20,9 @@ impl SessionManager {
     /// (without a trailing newline). Never panics on malformed input —
     /// every failure becomes an `ok:false` reply.
     pub fn handle_line(&self, line: &str) -> String {
-        let request = match parse_request(line) {
+        let request = match parse_request_line(line) {
             Ok(request) => request,
-            Err(e) => return wire_error_response_value(None, &WireError::from(e)).to_string(),
+            Err(e) => return wire_error_response_value(None, &e).to_string(),
         };
         self.handle_request(request).to_string()
     }
@@ -305,7 +305,10 @@ impl SessionManager {
         session: &mut ServerSession,
         command: Command,
     ) -> Result<Vec<(&'static str, Json)>, WireError> {
-        let core = |e: CoreError| WireError::from(e.to_string());
+        let core = |e: CoreError| match e {
+            CoreError::Engine(EngineError::TooDeep { .. }) => WireError::invalid(e.to_string()),
+            e => WireError::from(e.to_string()),
+        };
         match command {
             Command::RunQuery { sql, .. } => {
                 let result = session.dashboard_mut().run_query(&sql).map_err(core)?;

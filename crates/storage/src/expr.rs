@@ -639,7 +639,21 @@ impl fmt::Display for Expr {
             Expr::Literal(v) => f.write_str(&v.to_sql_literal()),
             Expr::Binary { op, left, right } => {
                 if op.is_logical() {
-                    write!(f, "({left} {op} {right})")
+                    // A left-deep chain of one connective renders flat —
+                    // `(a AND b AND c)` — and parses back to the same tree,
+                    // so long chains stay within the parser's nesting bound.
+                    fn chain(f: &mut fmt::Formatter<'_>, op: BinaryOp, e: &Expr) -> fmt::Result {
+                        match e {
+                            Expr::Binary { op: inner, left, right } if *inner == op => {
+                                chain(f, op, left)?;
+                                write!(f, " {op} {right}")
+                            }
+                            other => write!(f, "{other}"),
+                        }
+                    }
+                    f.write_str("(")?;
+                    chain(f, *op, self)?;
+                    f.write_str(")")
                 } else {
                     write!(f, "{left} {op} {right}")
                 }
@@ -810,6 +824,13 @@ mod tests {
         assert_eq!(e.to_string(), "NOT (sensorid BETWEEN 1 AND 2)");
         let e = col("x").is_not_null();
         assert_eq!(e.to_string(), "x IS NOT NULL");
+        // Left-deep chains of one connective render flat; mixed ones nest.
+        let e = col("a").eq(lit(1)).and(col("b").eq(lit(2))).and(col("c").eq(lit(3)));
+        assert_eq!(e.to_string(), "(a = 1 AND b = 2 AND c = 3)");
+        let e = col("a").eq(lit(1)).or(col("b").eq(lit(2))).and(col("c").eq(lit(3)));
+        assert_eq!(e.to_string(), "((a = 1 OR b = 2) AND c = 3)");
+        let e = col("a").eq(lit(1)).and(col("b").eq(lit(2)).and(col("c").eq(lit(3))));
+        assert_eq!(e.to_string(), "(a = 1 AND (b = 2 AND c = 3))");
     }
 
     #[test]

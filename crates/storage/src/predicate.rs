@@ -142,17 +142,6 @@ impl Condition {
         format!("{self:?}")
     }
 
-    /// True when the typed columnar compiler can express this condition
-    /// against `table`'s schema — i.e. the vectorized kernel path applies.
-    /// When `false`, evaluation falls back to the scalar expression walk
-    /// (and [`ConditionBitmapCache::condition`] returns `None`).
-    ///
-    /// Expressibility depends only on the schema and the condition, so the
-    /// answer is identical for every shard of one table.
-    pub fn vectorizable(&self, table: &Table) -> bool {
-        CompiledCondition::compile(self, table).is_ok()
-    }
-
     /// The attribute this condition constrains.
     pub fn column(&self) -> &str {
         match self {
@@ -363,30 +352,18 @@ impl ConjunctivePredicate {
         self.conditions.iter().all(|c| c.to_expr().matches(table, row).unwrap_or(false))
     }
 
-    /// Compiles the predicate against a table: column indices are resolved
-    /// and literals coerced once, so per-row evaluation is allocation-free
-    /// typed comparisons instead of a recursive [`Expr`] walk. Fails when a
-    /// condition's types do not line up with the schema (the same cases
-    /// where [`Expr::validate`] or evaluation would fail); callers fall
-    /// back to the expression path then.
-    pub fn compile<'t>(&self, table: &'t Table) -> Result<CompiledPredicate<'t>, StorageError> {
-        let conds = self
-            .conditions
-            .iter()
-            .map(|c| CompiledCondition::compile(c, table))
-            .collect::<Result<_, _>>()?;
-        Ok(CompiledPredicate { conds, num_rows: table.num_rows() })
-    }
-
     /// Returns all visible rows matched by the predicate, in ascending
-    /// [`RowId`] order. Uses the vectorized column kernels when every
-    /// condition compiles; otherwise falls back to the per-row expression
-    /// walk.
+    /// [`RowId`] order, through the vectorized column kernels. A predicate
+    /// that does not compile against the table matches no row: a condition
+    /// the kernels refuse (unknown column, mistyped literal) is never TRUE
+    /// under the expression walk either — it errors or yields NULL.
     pub fn matching_rows(&self, table: &Table) -> Vec<RowId> {
-        if let Ok(compiled) = self.compile(table) {
-            return compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids();
+        match self.compile_tree(table) {
+            Ok(compiled) => {
+                compiled.eval_columns().trues.and(&table.visible_row_set()).to_row_ids()
+            }
+            Err(_) => Vec::new(),
         }
-        table.visible_row_ids().filter(|&r| self.matches(table, r)).collect()
     }
 
     /// Fraction of the given rows matched by the predicate (0 when `rows` is
@@ -395,9 +372,9 @@ impl ConjunctivePredicate {
         if rows.is_empty() {
             return 0.0;
         }
-        let matched = match self.compile(table) {
-            Ok(compiled) => rows.iter().filter(|r| compiled.matches(**r) == Some(true)).count(),
-            Err(_) => rows.iter().filter(|&&r| self.matches(table, r)).count(),
+        let matched = match self.compile_tree(table) {
+            Ok(compiled) => rows.iter().filter(|&&r| compiled.matches(r) == Some(true)).count(),
+            Err(_) => 0,
         };
         matched as f64 / rows.len() as f64
     }
@@ -409,47 +386,18 @@ impl ConjunctivePredicate {
         if total == 0 {
             return 0.0;
         }
-        let matched = match self.compile(table) {
+        let matched = match self.compile_tree(table) {
             Ok(compiled) => {
                 compiled.eval_columns().trues.intersection_count(&table.visible_row_set())
             }
-            Err(_) => table.visible_row_ids().filter(|&r| self.matches(table, r)).count(),
+            Err(_) => 0,
         };
         matched as f64 / total as f64
-    }
-
-    /// Recovers a [`ConjunctivePredicate`] from an [`Expr`] that is a pure
-    /// conjunction of per-attribute comparisons against literals — the
-    /// inverse of [`ConjunctivePredicate::to_expr`] for the shapes the
-    /// engine's WHERE clauses and the enumerator's predicates take. Returns
-    /// `None` for any construct outside that fragment (disjunction,
-    /// negation, arithmetic, column-to-column comparison, `NOT IN`, string
-    /// order comparisons), in which case callers keep the scalar
-    /// expression walk.
-    pub fn from_conjunctive_expr(expr: &Expr) -> Option<ConjunctivePredicate> {
-        let mut conds = Vec::new();
-        collect_conjuncts(expr, &mut conds)?;
-        Some(ConjunctivePredicate::new(conds))
-    }
-}
-
-/// See [`ConjunctivePredicate::from_conjunctive_expr`].
-fn collect_conjuncts(expr: &Expr, out: &mut Vec<Condition>) -> Option<()> {
-    match expr {
-        Expr::Binary { op: BinaryOp::And, left, right } => {
-            collect_conjuncts(left, out)?;
-            collect_conjuncts(right, out)
-        }
-        _ => {
-            out.push(leaf_condition(expr)?);
-            Some(())
-        }
     }
 }
 
 /// Recognizes one per-attribute comparison leaf (`column <op> literal`,
-/// `BETWEEN`, `IN`, `CONTAINS`) as a [`Condition`] — the shared leaf
-/// grammar of [`ConjunctivePredicate::from_conjunctive_expr`] and
+/// `BETWEEN`, `IN`, `CONTAINS`) as a [`Condition`] — the leaf grammar of
 /// [`CompiledBoolExpr::compile`]. Returns `None` for anything outside that
 /// fragment (arithmetic, column-to-column comparison, `NOT IN`, string
 /// order comparisons, boolean connectives).
@@ -631,13 +579,15 @@ impl fmt::Display for PredicateTree {
 
 /// What the Predicate Ranker needs from a scoreable candidate, satisfied
 /// by both the classic [`ConjunctivePredicate`] and the general
-/// [`PredicateTree`]. The two evaluation entry points keep every candidate
-/// shape on the popcount path: `tri_eval` folds cached per-condition
-/// bitmaps, and `tri_eval_pruned` additionally substitutes an all-FALSE
-/// bitmap for every leaf a zone map proved empty on the shard at hand —
-/// exact, not approximate, because a pruned leaf's kernel is *guaranteed*
-/// to produce the empty [`TriSet`] (so `NOT leaf` correctly folds to
-/// all-TRUE, and an `OR` only empties when every branch does).
+/// [`PredicateTree`]. Every candidate shape compiles to one
+/// [`CompiledBoolExpr`] whose leaves are its own [`Condition`]s, so the
+/// ranker scores all of them on the popcount path:
+/// [`Candidate::tri_eval_pruned`] folds cached per-condition bitmaps and
+/// substitutes an all-FALSE bitmap for every leaf a zone map proved empty
+/// on the shard at hand — exact, not approximate, because a pruned leaf's
+/// kernel is *guaranteed* to produce the empty [`TriSet`] (so `NOT leaf`
+/// correctly folds to all-TRUE, and an `OR` only empties when every
+/// branch does).
 pub trait Candidate: fmt::Display + Clone + Send + Sync {
     /// Canonical dedup key: commutative renderings share one key.
     fn canonical_key(&self) -> String;
@@ -652,22 +602,22 @@ pub trait Candidate: fmt::Display + Clone + Send + Sync {
     /// Distinct leaf conditions, for bitmap-cache warm-up and adaptive
     /// shard-column choice.
     fn leaf_conditions(&self) -> Vec<Condition>;
-    /// True when every leaf compiles against `table`'s schema, i.e. the
-    /// whole candidate evaluates through columnar kernels.
-    fn vectorizable(&self, table: &Table) -> bool;
-    /// Vectorized three-valued evaluation through the bitmap cache;
-    /// `None` falls back to the scalar walk.
-    fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet>;
-    /// [`Candidate::tri_eval`] with zone-map pruning: leaves for which
-    /// `live` returns `false` skip their kernel and contribute all-FALSE.
-    /// Callers must only pass `live` functions backed by a sound pruning
-    /// oracle (`ShardedTable::condition_may_match`).
+    /// Compiles the candidate against `table`, one leaf per distinct
+    /// [`Condition`] (a closed range stays one kernel). Fails when a leaf
+    /// does not type-check against the schema.
+    fn compile_tree<'t>(&self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError>;
+    /// Vectorized three-valued evaluation through the bitmap cache. Leaves
+    /// for which `live` returns `false` skip their kernel and contribute
+    /// all-FALSE; callers must only pass `live` functions backed by a sound
+    /// pruning oracle (`ShardedTable::condition_may_match`), or `|_| true`.
     fn tri_eval_pruned(
         &self,
         cache: &ConditionBitmapCache,
         table: &Table,
         live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet>;
+    ) -> Result<TriSet, StorageError> {
+        Ok(cache.eval(&self.compile_tree(table)?, live))
+    }
 }
 
 impl Candidate for ConjunctivePredicate {
@@ -691,26 +641,10 @@ impl Candidate for ConjunctivePredicate {
         self.conditions().to_vec()
     }
 
-    fn vectorizable(&self, table: &Table) -> bool {
-        self.conditions().iter().all(|c| c.vectorizable(table))
-    }
-
-    fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet> {
-        cache.conjunction(table, self)
-    }
-
-    fn tri_eval_pruned(
-        &self,
-        cache: &ConditionBitmapCache,
-        table: &Table,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet> {
-        // Any pruned conjunct empties the whole conjunction: skip every
-        // kernel on this shard.
-        if self.conditions().iter().any(|c| !live(c)) {
-            return Some(TriSet::all_false(table.num_rows()));
-        }
-        cache.conjunction(table, self)
+    fn compile_tree<'t>(&self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError> {
+        let mut builder = Builder::new(table);
+        let root = builder.conjunction(self.conditions())?;
+        Ok(builder.finish(root))
     }
 }
 
@@ -776,115 +710,10 @@ impl Candidate for PredicateTree {
         self.distinct_conditions()
     }
 
-    fn vectorizable(&self, table: &Table) -> bool {
-        CompiledBoolExpr::compile(&Candidate::to_expr(self), table).is_ok()
-    }
-
-    fn tri_eval(&self, cache: &ConditionBitmapCache, table: &Table) -> Option<TriSet> {
-        cache.bool_expr(table, &Candidate::to_expr(self))
-    }
-
-    fn tri_eval_pruned(
-        &self,
-        cache: &ConditionBitmapCache,
-        table: &Table,
-        live: &dyn Fn(&Condition) -> bool,
-    ) -> Option<TriSet> {
-        let compiled = CompiledBoolExpr::compile(&Candidate::to_expr(self), table).ok()?;
-        let leaves: Vec<Arc<TriSet>> = compiled
-            .leaf_conditions()
-            .iter()
-            .map(|c| {
-                if live(c) {
-                    cache.condition(table, c)
-                } else {
-                    Some(Arc::new(TriSet::all_false(table.num_rows())))
-                }
-            })
-            .collect::<Option<_>>()?;
-        Some(compiled.combine(&leaves))
-    }
-}
-
-/// A [`ConjunctivePredicate`] compiled against one table (see
-/// [`ConjunctivePredicate::compile`]). Evaluation implements the same SQL
-/// three-valued logic as the predicate's [`Expr`] form, bit-for-bit: value
-/// comparisons go through `f64::total_cmp` exactly like
-/// [`Value::total_cmp`], and a NULL operand yields unknown (`None`).
-#[derive(Debug, Clone)]
-pub struct CompiledPredicate<'t> {
-    conds: Vec<CompiledCondition<'t>>,
-    /// Physical row count of the table the predicate was compiled against
-    /// (the universe of the bitmap path).
-    num_rows: usize,
-}
-
-impl CompiledPredicate<'_> {
-    /// Three-valued evaluation of the conjunction on one row:
-    /// `Some(true)` / `Some(false)` / `None` (= SQL NULL, unknown). The
-    /// trivial predicate is `TRUE` everywhere, matching its `Expr` form.
-    pub fn matches(&self, row: RowId) -> Option<bool> {
-        let mut saw_null = false;
-        for c in &self.conds {
-            match c.eval(row.index()) {
-                Some(false) => return Some(false),
-                None => saw_null = true,
-                Some(true) => {}
-            }
-        }
-        if saw_null {
-            None
-        } else {
-            Some(true)
-        }
-    }
-
-    /// Vectorized three-valued evaluation of the conjunction over **every
-    /// physical row** of the table (soft-deleted rows included — intersect
-    /// with [`Table::visible_row_set`] to restrict to visible rows). Each
-    /// condition scans its typed column slice in one tight loop and the
-    /// per-condition bitmaps are intersected, so the result is identical,
-    /// row for row, to calling [`CompiledPredicate::matches`] in a loop.
-    ///
-    /// Conjunctions short-circuit columnar-style: once the surviving
-    /// (TRUE-or-NULL) set drops below a quarter of the table, the
-    /// remaining conditions evaluate per surviving row instead of
-    /// re-scanning whole columns — the selection-vector trick, so a
-    /// selective leading conjunct makes the rest nearly free.
-    pub fn eval_columns(&self) -> TriSet {
-        let n = self.num_rows;
-        let Some((first, rest)) = self.conds.split_first() else {
-            return TriSet { trues: RowSet::full(n), unknowns: RowSet::empty(n) };
-        };
-        let mut acc = first.eval_column(n);
-        for cond in rest {
-            let pass = acc.passes_or_unknown();
-            if pass.count_ones() * 4 < n {
-                // Sparse: evaluate only the rows still in play.
-                let mut trues = RowSet::empty(n);
-                let mut unknowns = RowSet::empty(n);
-                for i in pass.iter() {
-                    match cond.eval(i) {
-                        Some(true) => {
-                            if acc.trues.contains(i) {
-                                trues.insert(i);
-                            } else {
-                                unknowns.insert(i);
-                            }
-                        }
-                        None => unknowns.insert(i),
-                        Some(false) => {}
-                    }
-                }
-                acc = TriSet { trues, unknowns };
-            } else {
-                let tri = cond.eval_column(n);
-                let new_pass = pass.and(&tri.passes_or_unknown());
-                let trues = acc.trues.and(&tri.trues);
-                acc = TriSet { unknowns: new_pass.and_not(&trues), trues };
-            }
-        }
-        acc
+    fn compile_tree<'t>(&self, table: &'t Table) -> Result<CompiledBoolExpr<'t>, StorageError> {
+        let mut builder = Builder::new(table);
+        let root = builder.tree(self)?;
+        Ok(builder.finish(root))
     }
 }
 
@@ -937,30 +766,40 @@ impl TriSet {
             Some(false)
         }
     }
-}
 
-/// Word-level Kleene `AND`: TRUE where both sides are TRUE, FALSE where
-/// either side is FALSE, NULL otherwise.
-impl std::ops::BitAnd for &TriSet {
-    type Output = TriSet;
-
-    fn bitand(self, rhs: &TriSet) -> TriSet {
-        let trues = self.trues.and(&rhs.trues);
-        let pass = self.passes_or_unknown().and(&rhs.passes_or_unknown());
-        TriSet { unknowns: pass.and_not(&trues), trues }
+    /// Applies `op(trues, unknowns, rhs trues, rhs unknowns)` word by word.
+    /// Bitwise AND/OR of tail-masked words stay tail-masked.
+    fn zip_assign(&mut self, rhs: &TriSet, op: impl Fn(u64, u64, u64, u64) -> (u64, u64)) {
+        assert_eq!(self.universe(), rhs.universe(), "TriSet operands come from different tables");
+        let TriSet { trues, unknowns } = self;
+        let lhs = trues.word_slice_mut().iter_mut().zip(unknowns.word_slice_mut());
+        let rhs = rhs.trues.word_slice().iter().zip(rhs.unknowns.word_slice());
+        for ((t, u), (rt, ru)) in lhs.zip(rhs) {
+            (*t, *u) = op(*t, *u, *rt, *ru);
+        }
     }
 }
 
-/// Word-level Kleene `OR`: TRUE where either side is TRUE (so
+/// In-place word-level Kleene `AND`: TRUE where both sides are TRUE, FALSE
+/// where either side is FALSE, NULL otherwise.
+impl std::ops::BitAndAssign<&TriSet> for TriSet {
+    fn bitand_assign(&mut self, rhs: &TriSet) {
+        self.zip_assign(rhs, |t, u, rt, ru| {
+            let trues = t & rt;
+            (trues, (t | u) & (rt | ru) & !trues)
+        });
+    }
+}
+
+/// In-place word-level Kleene `OR`: TRUE where either side is TRUE (so
 /// `UNKNOWN OR TRUE = TRUE`), FALSE where both sides are FALSE, NULL
 /// otherwise.
-impl std::ops::BitOr for &TriSet {
-    type Output = TriSet;
-
-    fn bitor(self, rhs: &TriSet) -> TriSet {
-        let trues = self.trues.or(&rhs.trues);
-        let unknowns = self.unknowns.or(&rhs.unknowns).and_not(&trues);
-        TriSet { trues, unknowns }
+impl std::ops::BitOrAssign<&TriSet> for TriSet {
+    fn bitor_assign(&mut self, rhs: &TriSet) {
+        self.zip_assign(rhs, |t, u, rt, ru| {
+            let trues = t | rt;
+            (trues, (u | ru) & !trues)
+        });
     }
 }
 
@@ -974,41 +813,172 @@ impl std::ops::Not for &TriSet {
     }
 }
 
-/// An arbitrary boolean [`Expr`] tree compiled against one table for
-/// vectorized evaluation — the generalization of [`CompiledPredicate`]
-/// beyond conjunctions. `AND` / `OR` / `NOT` nodes become word-level
-/// [`TriSet`] operations; leaves are the per-attribute conditions of the
-/// conjunctive fragment, deduplicated so a condition appearing several
-/// times in the tree (or served by a [`ConditionBitmapCache`]) is scanned
-/// once. Evaluation is bit-identical to the scalar three-valued walk of
+/// A boolean predicate compiled against one table for vectorized
+/// evaluation — the one compiled form of every predicate in the system:
+/// WHERE clauses ([`CompiledBoolExpr::compile`]) and ranker candidates
+/// ([`Candidate::compile_tree`]) alike. `AND` / `OR` / `NOT` nodes become
+/// word-level [`TriSet`] operations; leaves are per-attribute
+/// [`Condition`]s, deduplicated so a condition appearing several times in
+/// the tree (or served by a [`ConditionBitmapCache`]) is scanned once.
+/// Evaluation is bit-identical to the scalar three-valued walk of
 /// [`Expr::eval`].
 ///
 /// Compilation fails for any construct the kernels cannot express —
 /// arithmetic, column-to-column comparisons, `IS NULL` / `IS NOT NULL`,
-/// string order comparisons, bare boolean columns, mistyped literals —
-/// and callers fall back to the scalar walk. A successful compile also
-/// guarantees the scalar walk cannot error on any row, so the vectorized
-/// result needs no per-row error channel.
-#[derive(Debug, Clone)]
+/// string order comparisons, bare boolean columns, mistyped literals,
+/// unknown columns. A successful compile also guarantees the scalar walk
+/// cannot error on any row, so the vectorized result needs no per-row
+/// error channel.
+#[derive(Debug)]
 pub struct CompiledBoolExpr<'t> {
+    table: &'t Table,
     root: BoolNode,
-    /// Distinct leaf conditions in first-appearance order.
-    conditions: Vec<Condition>,
-    /// Typed kernels, parallel to `conditions`.
-    compiled: Vec<CompiledCondition<'t>>,
-    num_rows: usize,
+    /// Distinct leaves in first-appearance order.
+    leaves: Vec<Leaf<'t>>,
+    /// AND nodes [`CompiledBoolExpr::eval_columns`] finished row by row.
+    sparse_ands: AtomicU64,
+}
+
+/// One distinct leaf of a compiled tree.
+#[derive(Debug)]
+struct Leaf<'t> {
+    condition: Condition,
+    kernel: CompiledCondition<'t>,
+    /// [`Condition::cache_key`] of `condition`, rendered on first use: only
+    /// cache lookups and large trees need it.
+    key: OnceLock<String>,
+    /// How many tree nodes refer to this leaf.
+    uses: usize,
+}
+
+impl Leaf<'_> {
+    fn key(&self) -> &str {
+        self.key.get_or_init(|| self.condition.cache_key())
+    }
 }
 
 /// One node of a compiled boolean tree; leaves index into the
-/// deduplicated condition list.
-#[derive(Debug, Clone)]
+/// deduplicated leaf list. `AND` / `OR` are n-ary: a chain of one
+/// connective is one node, and the empty `AND` / `OR` is `TRUE` / `FALSE`.
+#[derive(Debug)]
 enum BoolNode {
     Leaf(usize),
     Not(Box<BoolNode>),
-    And(Box<BoolNode>, Box<BoolNode>),
-    Or(Box<BoolNode>, Box<BoolNode>),
+    And(Vec<BoolNode>),
+    Or(Vec<BoolNode>),
     /// A boolean (or NULL) literal in logical position.
     Const(Option<bool>),
+}
+
+/// Lowers predicates into a [`CompiledBoolExpr`].
+struct Builder<'t> {
+    table: &'t Table,
+    leaves: Vec<Leaf<'t>>,
+    /// Cache key → leaf index, built once the leaf list outgrows a linear
+    /// scan (candidates have a handful of leaves; WHERE clauses may have
+    /// thousands).
+    index: Option<HashMap<String, usize>>,
+}
+
+impl<'t> Builder<'t> {
+    fn new(table: &'t Table) -> Self {
+        Builder { table, leaves: Vec::new(), index: None }
+    }
+
+    fn finish(self, root: BoolNode) -> CompiledBoolExpr<'t> {
+        CompiledBoolExpr {
+            table: self.table,
+            root,
+            leaves: self.leaves,
+            sparse_ands: AtomicU64::new(0),
+        }
+    }
+
+    fn leaf(&mut self, cond: &Condition) -> Result<BoolNode, StorageError> {
+        const LINEAR_SCAN_LEAVES: usize = 16;
+        let leaves = &self.leaves;
+        let found = match &mut self.index {
+            Some(index) => index.get(&cond.cache_key()).copied(),
+            // `==` first: it is cheap, and the exact key comparison then
+            // only runs on a near-certain match (`==` equates ±0.0, which
+            // the kernels' total order tells apart).
+            None if leaves.len() < LINEAR_SCAN_LEAVES => {
+                leaves.iter().position(|l| l.condition == *cond && l.key() == cond.cache_key())
+            }
+            None => {
+                let index = self.index.insert(
+                    leaves.iter().enumerate().map(|(i, l)| (l.key().to_string(), i)).collect(),
+                );
+                index.get(&cond.cache_key()).copied()
+            }
+        };
+        if let Some(i) = found {
+            self.leaves[i].uses += 1;
+            return Ok(BoolNode::Leaf(i));
+        }
+        let kernel = CompiledCondition::compile(cond, self.table)?;
+        let i = self.leaves.len();
+        let leaf = Leaf { condition: cond.clone(), kernel, key: OnceLock::new(), uses: 1 };
+        if let Some(index) = &mut self.index {
+            index.insert(leaf.key().to_string(), i);
+        }
+        self.leaves.push(leaf);
+        Ok(BoolNode::Leaf(i))
+    }
+
+    fn conjunction(&mut self, conds: &[Condition]) -> Result<BoolNode, StorageError> {
+        Ok(BoolNode::And(conds.iter().map(|c| self.leaf(c)).collect::<Result<_, _>>()?))
+    }
+
+    fn tree(&mut self, tree: &PredicateTree) -> Result<BoolNode, StorageError> {
+        Ok(match tree {
+            PredicateTree::Leaf(p) => self.conjunction(p.conditions())?,
+            PredicateTree::And(bs) => {
+                BoolNode::And(bs.iter().map(|b| self.tree(b)).collect::<Result<_, _>>()?)
+            }
+            PredicateTree::Or(bs) => {
+                BoolNode::Or(bs.iter().map(|b| self.tree(b)).collect::<Result<_, _>>()?)
+            }
+            PredicateTree::Not(b) => BoolNode::Not(Box::new(self.tree(b)?)),
+        })
+    }
+
+    fn expr(&mut self, expr: &Expr) -> Result<BoolNode, StorageError> {
+        Ok(match expr {
+            Expr::Binary { op: op @ (BinaryOp::And | BinaryOp::Or), left, right } => {
+                // Left-deep chains of one connective become one node.
+                let (left, right) = (self.expr(left)?, self.expr(right)?);
+                match (op, left) {
+                    (BinaryOp::And, BoolNode::And(mut parts)) => {
+                        parts.push(right);
+                        BoolNode::And(parts)
+                    }
+                    (BinaryOp::Or, BoolNode::Or(mut parts)) => {
+                        parts.push(right);
+                        BoolNode::Or(parts)
+                    }
+                    (BinaryOp::And, left) => BoolNode::And(vec![left, right]),
+                    (_, left) => BoolNode::Or(vec![left, right]),
+                }
+            }
+            Expr::Unary { op: UnaryOp::Not, expr } => BoolNode::Not(Box::new(self.expr(expr)?)),
+            Expr::Literal(Value::Bool(b)) => BoolNode::Const(Some(*b)),
+            Expr::Literal(Value::Null) => BoolNode::Const(None),
+            // `NOT IN` is the Kleene negation of `IN` (a NULL member keeps
+            // the result NULL either way), so it vectorizes even though
+            // the conjunctive fragment refuses it.
+            Expr::InList { expr: inner, list, negated: true } => {
+                let positive =
+                    Expr::InList { expr: inner.clone(), list: list.clone(), negated: false };
+                BoolNode::Not(Box::new(self.expr(&positive)?))
+            }
+            other => {
+                let cond = leaf_condition(other)
+                    .ok_or_else(|| StorageError::Eval(format!("not vectorizable: {other}")))?;
+                self.leaf(&cond)?
+            }
+        })
+    }
 }
 
 impl<'t> CompiledBoolExpr<'t> {
@@ -1016,113 +986,196 @@ impl<'t> CompiledBoolExpr<'t> {
     /// type-checking every leaf once. Fails where the typed kernels cannot
     /// reproduce the scalar walk (callers keep the scalar path then).
     pub fn compile(expr: &Expr, table: &'t Table) -> Result<Self, StorageError> {
-        let mut out = CompiledBoolExpr {
-            root: BoolNode::Const(Some(false)),
-            conditions: Vec::new(),
-            compiled: Vec::new(),
-            num_rows: table.num_rows(),
-        };
-        let mut keys: HashMap<String, usize> = HashMap::new();
-        out.root = out.build(expr, table, &mut keys)?;
-        Ok(out)
-    }
-
-    fn build(
-        &mut self,
-        expr: &Expr,
-        table: &'t Table,
-        keys: &mut HashMap<String, usize>,
-    ) -> Result<BoolNode, StorageError> {
-        match expr {
-            Expr::Binary { op: BinaryOp::And, left, right } => Ok(BoolNode::And(
-                Box::new(self.build(left, table, keys)?),
-                Box::new(self.build(right, table, keys)?),
-            )),
-            Expr::Binary { op: BinaryOp::Or, left, right } => Ok(BoolNode::Or(
-                Box::new(self.build(left, table, keys)?),
-                Box::new(self.build(right, table, keys)?),
-            )),
-            Expr::Unary { op: UnaryOp::Not, expr } => {
-                Ok(BoolNode::Not(Box::new(self.build(expr, table, keys)?)))
-            }
-            Expr::Literal(Value::Bool(b)) => Ok(BoolNode::Const(Some(*b))),
-            Expr::Literal(Value::Null) => Ok(BoolNode::Const(None)),
-            // `NOT IN` is the Kleene negation of `IN` (a NULL member keeps
-            // the result NULL either way), so it vectorizes even though
-            // the conjunctive fragment refuses it.
-            Expr::InList { expr: inner, list, negated: true } => {
-                let positive =
-                    Expr::InList { expr: inner.clone(), list: list.clone(), negated: false };
-                Ok(BoolNode::Not(Box::new(self.leaf(&positive, table, keys)?)))
-            }
-            other => self.leaf(other, table, keys),
-        }
-    }
-
-    fn leaf(
-        &mut self,
-        expr: &Expr,
-        table: &'t Table,
-        keys: &mut HashMap<String, usize>,
-    ) -> Result<BoolNode, StorageError> {
-        let cond = leaf_condition(expr)
-            .ok_or_else(|| StorageError::Eval(format!("not vectorizable: {expr}")))?;
-        let key = cond.cache_key();
-        if let Some(&i) = keys.get(&key) {
-            return Ok(BoolNode::Leaf(i));
-        }
-        let compiled = CompiledCondition::compile(&cond, table)?;
-        let i = self.conditions.len();
-        self.conditions.push(cond);
-        self.compiled.push(compiled);
-        keys.insert(key, i);
-        Ok(BoolNode::Leaf(i))
+        let mut builder = Builder::new(table);
+        let root = builder.expr(expr)?;
+        Ok(builder.finish(root))
     }
 
     /// Physical row count of the table the tree was compiled against (the
     /// bitmap universe).
     pub fn num_rows(&self) -> usize {
-        self.num_rows
+        self.table.num_rows()
     }
 
-    /// The distinct leaf conditions, in first-appearance order. Leaf `i`
-    /// pairs with `leaves[i]` in [`CompiledBoolExpr::combine`].
-    pub fn leaf_conditions(&self) -> &[Condition] {
-        &self.conditions
+    /// How many AND nodes [`CompiledBoolExpr::eval_columns`] has finished
+    /// row by row over the few surviving rows instead of with column scans
+    /// (counted across calls on this instance).
+    pub fn sparse_and_count(&self) -> u64 {
+        self.sparse_ands.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Three-valued evaluation on one row (`None` = NULL): typed
+    /// comparisons on the row's cells, no [`Expr`] walk.
+    pub fn matches(&self, row: RowId) -> Option<bool> {
+        match &self.root {
+            BoolNode::And(conjuncts) => self.eval_row_and(conjuncts, row.index()),
+            root => self.eval_row(root, row.index()),
+        }
+    }
+
+    fn eval_row(&self, node: &BoolNode, row: usize) -> Option<bool> {
+        match node {
+            BoolNode::Leaf(i) => self.leaves[*i].kernel.eval(row),
+            BoolNode::Const(v) => *v,
+            BoolNode::Not(c) => self.eval_row(c, row).map(|b| !b),
+            BoolNode::And(cs) => self.eval_row_and(cs, row),
+            BoolNode::Or(cs) => {
+                let mut saw_null = false;
+                for c in cs {
+                    match self.eval_row(c, row) {
+                        Some(true) => return Some(true),
+                        None => saw_null = true,
+                        Some(false) => {}
+                    }
+                }
+                (!saw_null).then_some(false)
+            }
+        }
+    }
+
+    /// Kleene AND of `conjuncts` on one row, stopping at the first FALSE.
+    #[inline]
+    fn eval_row_and(&self, conjuncts: &[BoolNode], row: usize) -> Option<bool> {
+        let mut saw_null = false;
+        for c in conjuncts {
+            // Leaves inline: this loop is the per-row hot path.
+            let value = match c {
+                BoolNode::Leaf(i) => self.leaves[*i].kernel.eval(row),
+                other => self.eval_row(other, row),
+            };
+            match value {
+                Some(false) => return Some(false),
+                None => saw_null = true,
+                Some(true) => {}
+            }
+        }
+        (!saw_null).then_some(true)
     }
 
     /// Vectorized three-valued evaluation over **every physical row** of
     /// the table (soft-deleted rows included — intersect with
     /// [`Table::visible_row_set`] to restrict): each distinct leaf runs
-    /// its columnar kernel once, then the tree folds word-level
+    /// its columnar kernel at most once, then the tree folds word-level
     /// AND/OR/NOT. Identical, row for row, to evaluating the source
     /// expression with [`Expr::eval`].
-    pub fn eval_columns(&self) -> TriSet {
-        let leaves: Vec<Arc<TriSet>> =
-            self.compiled.iter().map(|c| Arc::new(c.eval_column(self.num_rows))).collect();
-        self.combine(&leaves)
-    }
-
-    /// Folds the tree over externally supplied per-leaf bitmaps (parallel
-    /// to [`CompiledBoolExpr::leaf_conditions`]) — the hook the
-    /// [`ConditionBitmapCache`] and the sharded zone-map pruner use to
-    /// substitute cached or pruned leaf results.
     ///
-    /// Panics when `leaves` does not line up with the leaf list.
-    pub fn combine(&self, leaves: &[Arc<TriSet>]) -> TriSet {
-        assert_eq!(leaves.len(), self.conditions.len(), "one bitmap per distinct leaf");
-        self.fold(&self.root, leaves)
+    /// AND short-circuits columnar-style: once the TRUE-or-NULL rows of the
+    /// conjuncts folded so far drop below a quarter of the table, the rest
+    /// are evaluated per surviving row instead of scanning whole columns —
+    /// the selection-vector trick, so a selective leading conjunct makes
+    /// the rest nearly free.
+    pub fn eval_columns(&self) -> TriSet {
+        let n = self.num_rows();
+        Fold {
+            expr: self,
+            fetched: vec![None; self.leaves.len()],
+            fetch: &mut |i| Arc::new(self.leaves[i].kernel.eval_column(n)),
+            live: &|_| true,
+            sparse: true,
+        }
+        .finish()
+    }
+}
+
+/// One evaluation pass over a [`CompiledBoolExpr`]. Leaf bitmaps come from
+/// `fetch` (fresh kernels or a [`ConditionBitmapCache`]), at most once per
+/// distinct leaf. A leaf `live` rejects is all-FALSE without a fetch, and
+/// so is an AND with such a leaf among its conjuncts or an OR whose every
+/// branch is all-FALSE.
+struct Fold<'a, 't> {
+    expr: &'a CompiledBoolExpr<'t>,
+    fetched: Vec<Option<Arc<TriSet>>>,
+    fetch: &'a mut dyn FnMut(usize) -> Arc<TriSet>,
+    live: &'a dyn Fn(&Condition) -> bool,
+    /// Finish sparse ANDs row by row (worth it only when leaves cost a
+    /// kernel scan, not a cache hit).
+    sparse: bool,
+}
+
+impl Fold<'_, '_> {
+    fn finish(mut self) -> TriSet {
+        let expr = self.expr;
+        self.node(&expr.root).unwrap_or_else(|| TriSet::all_false(expr.num_rows()))
     }
 
-    fn fold(&self, node: &BoolNode, leaves: &[Arc<TriSet>]) -> TriSet {
+    /// The leaf's bitmaps, or `None` when `live` rejects it. Only leaves
+    /// the tree refers to more than once are kept for reuse.
+    fn leaf(&mut self, i: usize) -> Option<Arc<TriSet>> {
+        let leaf = &self.expr.leaves[i];
+        if !(self.live)(&leaf.condition) {
+            return None;
+        }
+        if leaf.uses == 1 {
+            return Some((self.fetch)(i));
+        }
+        if self.fetched[i].is_none() {
+            self.fetched[i] = Some((self.fetch)(i));
+        }
+        self.fetched[i].clone()
+    }
+
+    /// A node's bitmaps; `None` means all-FALSE.
+    fn operand(&mut self, node: &BoolNode) -> Option<Arc<TriSet>> {
         match node {
-            BoolNode::Leaf(i) => leaves[*i].as_ref().clone(),
-            BoolNode::Not(c) => !&self.fold(c, leaves),
-            BoolNode::And(a, b) => &self.fold(a, leaves) & &self.fold(b, leaves),
-            BoolNode::Or(a, b) => &self.fold(a, leaves) | &self.fold(b, leaves),
-            BoolNode::Const(Some(true)) => TriSet::all_true(self.num_rows),
-            BoolNode::Const(Some(false)) => TriSet::all_false(self.num_rows),
-            BoolNode::Const(None) => TriSet::all_unknown(self.num_rows),
+            BoolNode::Leaf(i) => self.leaf(*i),
+            other => self.node(other).map(Arc::new),
+        }
+    }
+
+    /// A node's bitmaps, owned for folding into; `None` means all-FALSE.
+    fn node(&mut self, node: &BoolNode) -> Option<TriSet> {
+        let expr = self.expr;
+        let n = expr.num_rows();
+        match node {
+            BoolNode::Leaf(i) => self.leaf(*i).map(Arc::unwrap_or_clone),
+            BoolNode::Const(Some(true)) => Some(TriSet::all_true(n)),
+            BoolNode::Const(Some(false)) => None,
+            BoolNode::Const(None) => Some(TriSet::all_unknown(n)),
+            BoolNode::Not(c) => Some(match self.node(c) {
+                Some(t) => !&t,
+                None => TriSet::all_true(n),
+            }),
+            BoolNode::Or(cs) => {
+                let mut acc: Option<TriSet> = None;
+                for c in cs {
+                    match (&mut acc, self.operand(c)) {
+                        (Some(acc), Some(t)) => *acc |= &t,
+                        (None, Some(t)) => acc = Some(Arc::unwrap_or_clone(t)),
+                        (_, None) => {}
+                    }
+                }
+                acc
+            }
+            BoolNode::And(cs) => {
+                let dead = |c: &BoolNode| matches!(c, BoolNode::Leaf(i) if !(self.live)(&expr.leaves[*i].condition));
+                if cs.iter().any(dead) {
+                    return None;
+                }
+                let Some((first, rest)) = cs.split_first() else {
+                    return Some(TriSet::all_true(n));
+                };
+                let mut acc = self.node(first)?;
+                for (k, c) in rest.iter().enumerate() {
+                    if self.sparse {
+                        let pass = acc.passes_or_unknown();
+                        if pass.count_ones() * 4 < n {
+                            expr.sparse_ands.fetch_add(1, AtomicOrdering::Relaxed);
+                            let mut out = TriSet::all_false(n);
+                            for i in pass.iter() {
+                                match expr.eval_row_and(&rest[k..], i) {
+                                    Some(true) if acc.trues.contains(i) => out.trues.insert(i),
+                                    Some(false) => {}
+                                    _ => out.unknowns.insert(i),
+                                }
+                            }
+                            return Some(out);
+                        }
+                    }
+                    let rhs = self.operand(c)?;
+                    acc &= &rhs;
+                }
+                Some(acc)
+            }
         }
     }
 }
@@ -1152,16 +1205,18 @@ enum CompiledCondition<'t> {
 
 impl<'t> CompiledCondition<'t> {
     fn compile(cond: &Condition, table: &'t Table) -> Result<Self, StorageError> {
+        if let Condition::Range { low: None, high: None, .. } = cond {
+            // The unbounded range is literally `TRUE` (see
+            // `Condition::to_expr`): it names no column to resolve.
+            return Ok(CompiledCondition::True);
+        }
         let idx = table.schema().resolve(cond.column())?;
         let dtype = table.schema().field_at(idx).expect("resolved").dtype;
         let column = table.column(idx).expect("resolved");
         if dtype == DataType::Null {
             // Every value of the column is NULL, so every comparison is
-            // unknown — except the unbounded range, which is literally TRUE.
-            return Ok(match cond {
-                Condition::Range { low: None, high: None, .. } => CompiledCondition::True,
-                _ => CompiledCondition::Unknown,
-            });
+            // unknown.
+            return Ok(CompiledCondition::Unknown);
         }
         let mismatch = |expected: &str| StorageError::TypeMismatch {
             expected: expected.into(),
@@ -1192,9 +1247,6 @@ impl<'t> CompiledCondition<'t> {
                 }
             }
             Condition::Range { low, low_inclusive, high, high_inclusive, .. } => {
-                if low.is_none() && high.is_none() {
-                    return Ok(CompiledCondition::True);
-                }
                 if !dtype.is_numeric() {
                     return Err(mismatch("numeric"));
                 }
@@ -1237,6 +1289,7 @@ impl<'t> CompiledCondition<'t> {
     }
 
     /// Three-valued evaluation on one row index (`None` = NULL).
+    #[inline]
     fn eval(&self, row: usize) -> Option<bool> {
         match self {
             CompiledCondition::True => Some(true),
@@ -1650,21 +1703,22 @@ impl ConditionBitmapCache {
 
     /// The condition's evaluation bitmaps over every physical row of
     /// `table`, cached across calls. Returns `None` when the typed
-    /// compiler cannot express the condition against the table's schema
-    /// (callers fall back to the scalar expression walk).
+    /// compiler cannot express the condition against the table's schema.
     pub fn condition(&self, table: &Table, cond: &Condition) -> Option<Arc<TriSet>> {
-        let evaluate = |table: &Table, cond: &Condition| {
-            CompiledCondition::compile(cond, table)
-                .ok()
-                .map(|compiled| Arc::new(compiled.eval_column(table.num_rows())))
+        let evaluate = || {
+            CompiledCondition::compile(cond, table).ok().map(|c| c.eval_column(table.num_rows()))
         };
         if !self.covers(table) {
-            return evaluate(table, cond);
+            return evaluate().map(Arc::new);
         }
-        let key = cond.cache_key();
+        self.lookup(&cond.cache_key(), evaluate)
+    }
+
+    /// Looks `key` up, running `evaluate` on a miss and storing its result.
+    fn lookup(&self, key: &str, evaluate: impl FnOnce() -> Option<TriSet>) -> Option<Arc<TriSet>> {
         {
             let entries = self.entries.lock().expect("bitmap cache poisoned");
-            if let Some(cached) = entries.get(&key) {
+            if let Some(cached) = entries.get(key) {
                 self.hits.fetch_add(1, AtomicOrdering::Relaxed);
                 GLOBAL_BITMAP_HITS.fetch_add(1, AtomicOrdering::Relaxed);
                 return cached.clone();
@@ -1675,42 +1729,44 @@ impl ConditionBitmapCache {
         // and both results are identical).
         self.misses.fetch_add(1, AtomicOrdering::Relaxed);
         GLOBAL_BITMAP_MISSES.fetch_add(1, AtomicOrdering::Relaxed);
-        let computed = evaluate(table, cond);
+        let computed = evaluate().map(Arc::new);
         let mut entries = self.entries.lock().expect("bitmap cache poisoned");
-        entries.entry(key).or_insert_with(|| computed.clone()).clone()
+        entries.entry(key.to_string()).or_insert_with(|| computed.clone()).clone()
     }
 
-    /// Evaluates a whole conjunction by intersecting the cached
-    /// per-condition bitmaps. Returns `None` as soon as any condition is
-    /// inexpressible (the caller's scalar fallback then handles the whole
-    /// predicate). The trivial predicate is TRUE on every row.
-    pub fn conjunction(&self, table: &Table, pred: &ConjunctivePredicate) -> Option<TriSet> {
-        let n = if self.covers(table) { self.num_rows } else { table.num_rows() };
-        let mut trues = RowSet::full(n);
-        let mut pass = RowSet::full(n);
-        for cond in pred.conditions() {
-            let tri = self.condition(table, cond)?;
-            pass.and_assign(&tri.passes_or_unknown());
-            trues.and_assign(&tri.trues);
+    /// Evaluates a compiled tree by folding this cache's per-condition
+    /// bitmaps with word-level AND/OR/NOT. Each **distinct** leaf costs one
+    /// cache lookup (a kernel scan on first sight, a hit afterwards).
+    /// Leaves `live` rejects contribute all-FALSE and never reach a kernel,
+    /// nor does anything a rejected leaf provably empties (a conjunction
+    /// with a rejected conjunct, an OR whose every branch is rejected).
+    pub fn eval(
+        &self,
+        compiled: &CompiledBoolExpr<'_>,
+        live: &dyn Fn(&Condition) -> bool,
+    ) -> TriSet {
+        let n = compiled.num_rows();
+        let covered = self.covers(compiled.table);
+        let kernel = |i: usize| compiled.leaves[i].kernel.eval_column(n);
+        Fold {
+            expr: compiled,
+            fetched: vec![None; compiled.leaves.len()],
+            fetch: &mut |i| {
+                let cached =
+                    covered.then(|| self.lookup(compiled.leaves[i].key(), || Some(kernel(i))));
+                cached.flatten().unwrap_or_else(|| Arc::new(kernel(i)))
+            },
+            live,
+            sparse: false,
         }
-        Some(TriSet { unknowns: pass.and_not(&trues), trues })
+        .finish()
     }
 
-    /// Evaluates an arbitrary boolean expression tree by folding the
-    /// cached per-condition bitmaps with word-level AND/OR/NOT — the
-    /// disjunctive/negated generalization of
-    /// [`ConditionBitmapCache::conjunction`]. Each **distinct** leaf costs
-    /// one cache lookup (a kernel scan on first sight, a hit afterwards).
-    /// Returns `None` when the tree does not compile against `table`
-    /// (the caller's scalar fallback then handles the whole expression).
+    /// [`ConditionBitmapCache::eval`] of an expression tree. Returns `None`
+    /// when the tree does not compile against `table`.
     pub fn bool_expr(&self, table: &Table, expr: &Expr) -> Option<TriSet> {
         let compiled = CompiledBoolExpr::compile(expr, table).ok()?;
-        let leaves: Vec<Arc<TriSet>> = compiled
-            .leaf_conditions()
-            .iter()
-            .map(|c| self.condition(table, c))
-            .collect::<Option<_>>()?;
-        Some(compiled.combine(&leaves))
+        Some(self.eval(&compiled, &|_| true))
     }
 
     /// This cache's `(hits, misses)` counters.
@@ -1935,7 +1991,7 @@ mod tests {
             }
         }
         for p in &predicates {
-            let compiled = p.compile(&t).expect("all conditions are well-typed");
+            let compiled = p.compile_tree(&t).expect("all conditions are well-typed");
             let expr = p.to_expr();
             for r in t.visible_row_ids() {
                 let via_expr = match expr.eval(&t, r).unwrap() {
@@ -1957,19 +2013,21 @@ mod tests {
         let t = table();
         // String equality against a numeric column and vice versa.
         assert!(ConjunctivePredicate::new(vec![Condition::equals("temp", Value::str("x"))])
-            .compile(&t)
+            .compile_tree(&t)
             .is_err());
-        assert!(ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]).compile(&t).is_err());
+        assert!(ConjunctivePredicate::new(vec![Condition::equals("memo", 4)])
+            .compile_tree(&t)
+            .is_err());
         // Range and CONTAINS on a string column.
         assert!(ConjunctivePredicate::new(vec![Condition::above("memo", 1.0)])
-            .compile(&t)
+            .compile_tree(&t)
             .is_err());
         assert!(ConjunctivePredicate::new(vec![Condition::contains("temp", "x")])
-            .compile(&t)
+            .compile_tree(&t)
             .is_err());
         // Unknown column.
         assert!(ConjunctivePredicate::new(vec![Condition::equals("missing", 1)])
-            .compile(&t)
+            .compile_tree(&t)
             .is_err());
         // matching_rows falls back to the expression path and still answers.
         let p = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
@@ -2011,7 +2069,7 @@ mod tests {
         }
         let cache = ConditionBitmapCache::new(&t);
         for p in &predicates {
-            let compiled = p.compile(&t).expect("well-typed");
+            let compiled = p.compile_tree(&t).expect("well-typed");
             let tri = compiled.eval_columns();
             for r in t.all_row_ids() {
                 let scalar = compiled.matches(r);
@@ -2019,7 +2077,7 @@ mod tests {
                 assert_eq!(tri.unknowns.contains(r.index()), scalar.is_none(), "{p} on {r}");
             }
             // The cached conjunction agrees with direct evaluation.
-            let via_cache = cache.conjunction(&t, p).expect("well-typed");
+            let via_cache = p.tri_eval_pruned(&cache, &t, &|_| true).expect("well-typed");
             assert!(via_cache.trues == tri.trues && via_cache.unknowns == tri.unknowns, "{p}");
         }
         let (hits, misses) = cache.stats();
@@ -2057,8 +2115,10 @@ mod tests {
             (Some(false), Some(false)) => Some(false),
             _ => None,
         };
-        let anded = &left & &right;
-        let ored = &left | &right;
+        let mut anded = left.clone();
+        anded &= &right;
+        let mut ored = left.clone();
+        ored |= &right;
         let negated = !&left;
         for (i, (l, r)) in
             values.iter().flat_map(|l| values.iter().map(move |r| (*l, *r))).enumerate()
@@ -2233,11 +2293,11 @@ mod tests {
         ];
         let cache = ConditionBitmapCache::new(&t);
         for tree in &trees {
-            assert!(Candidate::vectorizable(tree, &t), "{tree}");
             let expr = Candidate::to_expr(tree);
-            let tri = Candidate::tri_eval(tree, &cache, &t).expect("vectorizable");
-            let via_pruned =
+            let tri =
                 Candidate::tri_eval_pruned(tree, &cache, &t, &|_| true).expect("vectorizable");
+            let compiled = tree.compile_tree(&t).expect("vectorizable");
+            let fresh = compiled.eval_columns();
             for r in t.all_row_ids() {
                 let scalar = match expr.eval(&t, r).unwrap() {
                     Value::Bool(b) => Some(b),
@@ -2245,14 +2305,15 @@ mod tests {
                     other => panic!("non-boolean value {other:?}"),
                 };
                 assert_eq!(tri.value(r.index()), scalar, "{tree} on {r}");
-                assert_eq!(via_pruned.value(r.index()), scalar, "{tree} on {r} (pruned path)");
+                assert_eq!(fresh.value(r.index()), scalar, "{tree} on {r} (fresh kernels)");
+                assert_eq!(compiled.matches(r), scalar, "{tree} on {r} (per row)");
             }
         }
         // A tree with an inexpressible leaf declines vectorization.
         let bad =
             PredicateTree::negation(ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]));
-        assert!(!Candidate::vectorizable(&bad, &t));
-        assert!(Candidate::tri_eval(&bad, &cache, &t).is_none());
+        assert!(bad.compile_tree(&t).is_err());
+        assert!(Candidate::tri_eval_pruned(&bad, &cache, &t, &|_| true).is_err());
     }
 
     /// Pruned-leaf substitution is *exact*: a leaf whose kernel provably
@@ -2284,7 +2345,9 @@ mod tests {
         for tree in &trees {
             // Fresh caches per path so the pruned evaluation can't borrow
             // the unpruned evaluation's bitmaps.
-            let full = Candidate::tri_eval(tree, &ConditionBitmapCache::new(&t), &t).unwrap();
+            let full =
+                Candidate::tri_eval_pruned(tree, &ConditionBitmapCache::new(&t), &t, &|_| true)
+                    .unwrap();
             let pruned_cache = ConditionBitmapCache::new(&t);
             let pruned = Candidate::tri_eval_pruned(tree, &pruned_cache, &t, &live).unwrap();
             assert!(full.trues == pruned.trues && full.unknowns == pruned.unknowns, "{tree}");
@@ -2295,11 +2358,15 @@ mod tests {
                 "{tree}: pruned leaf should skip its scan"
             );
         }
-        // The conjunctive impl short-circuits the whole shard.
-        let pruned_cache = ConditionBitmapCache::new(&t);
-        let tri = Candidate::tri_eval_pruned(&both, &pruned_cache, &t, &live).unwrap();
-        assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
-        assert_eq!(pruned_cache.stats(), (0, 0), "no kernel ran at all");
+        // A conjunction with a pruned conjunct short-circuits the whole
+        // shard, wherever the pruned conjunct sits.
+        let reversed = ConjunctivePredicate::new(vec![present.clone(), missing.clone()]);
+        for conjunction in [&both, &reversed] {
+            let pruned_cache = ConditionBitmapCache::new(&t);
+            let tri = Candidate::tri_eval_pruned(conjunction, &pruned_cache, &t, &live).unwrap();
+            assert!(tri.trues.is_empty() && tri.unknowns.is_empty());
+            assert_eq!(pruned_cache.stats(), (0, 0), "{conjunction}: no kernel ran at all");
+        }
     }
 
     #[test]
@@ -2338,7 +2405,7 @@ mod tests {
         assert_eq!(cache.visible().count_ones(), t.visible_rows());
         // A mistyped condition is inexpressible: conjunction yields None.
         let bad = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
-        assert!(cache.conjunction(&t, &bad).is_none());
+        assert!(bad.tri_eval_pruned(&cache, &t, &|_| true).is_err());
         // Mutating the table bumps the version: the stale cache computes
         // fresh results (still correct) without serving stored bitmaps.
         let mut t2 = t.clone();
@@ -2346,18 +2413,18 @@ mod tests {
         assert!(!cache.covers(&t2));
         let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]);
         let (h0, m0) = cache.stats();
-        let tri = cache.conjunction(&t2, &p).expect("well-typed");
+        let tri = p.tri_eval_pruned(&cache, &t2, &|_| true).expect("well-typed");
         assert_eq!(cache.stats(), (h0, m0), "bypassed lookups leave the counters alone");
         assert_eq!(tri.trues.to_row_ids(), vec![RowId(0), RowId(1)]);
         // Global counters only ever grow.
         let (gh, gm) = ConditionBitmapCache::global_stats();
-        let _ = cache.conjunction(&t, &p);
+        let _ = p.tri_eval_pruned(&cache, &t, &|_| true);
         let (gh2, gm2) = ConditionBitmapCache::global_stats();
         assert!(gh2 + gm2 > gh + gm);
     }
 
     #[test]
-    fn from_conjunctive_expr_round_trips_predicate_shapes() {
+    fn where_compile_agrees_with_predicate_shapes() {
         let t = table();
         let shapes = vec![
             ConjunctivePredicate::new(vec![Condition::equals("sensorid", 15)]),
@@ -2376,32 +2443,19 @@ mod tests {
             ConjunctivePredicate::new(vec![Condition::contains("memo", "spouse")]),
             ConjunctivePredicate::new(vec![Condition::at_most("voltage", 2.5)]),
         ];
+        let visible = t.visible_row_set();
         for p in shapes {
-            let recovered = ConjunctivePredicate::from_conjunctive_expr(&p.to_expr())
-                .unwrap_or_else(|| panic!("{p} should be recoverable"));
-            assert_eq!(recovered.matching_rows(&t), p.matching_rows(&t), "{p}");
+            let compiled = CompiledBoolExpr::compile(&p.to_expr(), &t)
+                .unwrap_or_else(|e| panic!("{p} should compile: {e:?}"));
+            let rows = compiled.eval_columns().trues.and(&visible).to_row_ids();
+            assert_eq!(rows, p.matching_rows(&t), "{p}");
         }
         // A mirrored comparison (literal on the left) flips the operator.
-        let mirrored = lit(120.0).lt(col("temp"));
-        let recovered = ConjunctivePredicate::from_conjunctive_expr(&mirrored).unwrap();
+        let mirrored = CompiledBoolExpr::compile(&lit(120.0).lt(col("temp")), &t).unwrap();
         assert_eq!(
-            recovered.matching_rows(&t),
-            Condition::above("temp", 120.0).to_expr().filter(&t).unwrap()
+            mirrored.eval_columns().trues.to_row_ids(),
+            Condition::above("temp", 120.0).to_expr().filter_scalar(&t).unwrap()
         );
-        // Constructs outside the conjunctive fragment are refused.
-        for expr in [
-            col("temp").gt(lit(1.0)).or(col("sensorid").eq(lit(3))),
-            col("temp").gt(lit(1.0)).not(),
-            col("temp").is_not_null(),
-            col("temp").gt(col("voltage")),
-            col("memo").lt(lit("z")),
-            Expr::InList { expr: Box::new(col("sensorid")), list: vec![lit(1)], negated: true },
-        ] {
-            assert!(
-                ConjunctivePredicate::from_conjunctive_expr(&expr).is_none(),
-                "{expr:?} must fall back to the scalar path"
-            );
-        }
     }
 
     #[test]

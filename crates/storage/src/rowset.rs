@@ -69,6 +69,12 @@ impl RowSet {
         &self.words
     }
 
+    /// The raw bitmap words, mutably (for the word-level Kleene folds).
+    /// Writers must keep the bits beyond the universe at zero.
+    pub(crate) fn word_slice_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Zeroes the bits beyond `len` in the last word (the invariant all
     /// constructors and mutators maintain).
     fn mask_tail(&mut self) {

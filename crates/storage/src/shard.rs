@@ -416,8 +416,8 @@ impl ShardedTable {
     /// `true` is always safe and carries no promise.
     ///
     /// The guarantee only covers conditions the typed compiler can express
-    /// (see [`Condition::vectorizable`]); callers on the scalar fallback
-    /// path must not consult this.
+    /// (see [`Candidate::compile_tree`](crate::predicate::Candidate::compile_tree)):
+    /// compile a candidate before trusting a prune of its leaves.
     pub fn condition_may_match(&self, s: usize, cond: &Condition) -> bool {
         let shard = &self.shards[s];
         if shard.num_rows() == 0 {

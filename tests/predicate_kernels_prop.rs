@@ -2,15 +2,20 @@
 //!
 //! For random tables (NULLs, soft deletes, empty tables included) and
 //! random conditions (equality, ranges, `IN` sets with NULL members,
-//! substring containment), the columnar kernels
-//! (`CompiledPredicate::eval_columns`) must agree **row for row** with the
-//! scalar three-valued evaluator (`CompiledPredicate::matches`), and
+//! substring containment), the compiled form of every predicate
+//! (`CompiledBoolExpr`: its columnar `eval_columns`, its typed per-row
+//! `matches`, and the condition-bitmap cache's fold) must agree **row for
+//! row** with the scalar three-valued `Expr::eval` walk, and
 //! `matching_rows` must keep its contract: the visible matches, ascending
-//! by `RowId`, identical to the per-row expression walk. The `RowSet`
-//! bitmap algebra is pinned against a `BTreeSet` oracle.
+//! by `RowId`, identical to the per-row expression walk. The compiler
+//! refuses exactly the conditions `Expr::validate` refuses, which is what
+//! lets the ranker drop its scalar scoring walk. The `RowSet` bitmap
+//! algebra is pinned against a `BTreeSet` oracle.
 
 use dbwipes::storage::rowset::RowSet;
-use dbwipes::storage::{Candidate, ConditionBitmapCache, DataType, PredicateTree, Schema, Value};
+use dbwipes::storage::{
+    Candidate, CompiledBoolExpr, ConditionBitmapCache, DataType, PredicateTree, Schema, Value,
+};
 use dbwipes::{Condition, ConjunctivePredicate, RowId, ShardedTable, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -79,23 +84,45 @@ fn arbitrary_condition() -> impl Strategy<Value = Condition> {
     ]
 }
 
-/// One predicate's kernels against the scalar evaluator, on every physical
-/// row (deleted rows included — the bitmap universe is physical).
+/// The scalar three-valued verdict of an expression on one row — the
+/// oracle every compiled path is checked against.
+fn verdict(expr: &dbwipes::storage::Expr, table: &Table, row: RowId) -> Option<bool> {
+    match expr.eval(table, row).expect("well-typed") {
+        Value::Bool(b) => Some(b),
+        Value::Null => None,
+        other => panic!("boolean predicate evaluated to {other:?}"),
+    }
+}
+
+/// One predicate's compiled forms against the scalar `Expr::eval` oracle,
+/// on every physical row (deleted rows included — the bitmap universe is
+/// physical): the candidate compile (one kernel per condition), the WHERE
+/// compile of its expression (closed ranges split into two comparisons),
+/// and the typed per-row `matches`.
 fn assert_kernel_equivalence(table: &Table, pred: &ConjunctivePredicate) -> Result<(), String> {
-    let compiled = pred.compile(table).expect("generated conditions are well-typed");
+    let compiled = pred.compile_tree(table).expect("generated conditions are well-typed");
+    let expr = pred.to_expr();
+    let via_where = CompiledBoolExpr::compile(&expr, table).expect("well-typed WHERE clause");
     let tri = compiled.eval_columns();
+    let where_tri = via_where.eval_columns();
     prop_assert_eq!(tri.trues.universe(), table.num_rows());
     for i in 0..table.num_rows() {
-        let scalar = compiled.matches(RowId(i));
+        let oracle = verdict(&expr, table, RowId(i));
         prop_assert!(
-            tri.trues.contains(i) == (scalar == Some(true)),
-            "trues diverged from scalar at row {} for {}",
+            tri.value(i) == oracle,
+            "eval_columns diverged from Expr::eval at row {} for {}",
             i,
             pred
         );
         prop_assert!(
-            tri.unknowns.contains(i) == scalar.is_none(),
-            "unknowns diverged from scalar at row {} for {}",
+            where_tri.value(i) == oracle,
+            "WHERE compile diverged at row {} for {}",
+            i,
+            pred
+        );
+        prop_assert!(
+            compiled.matches(RowId(i)) == oracle,
+            "matches diverged from Expr::eval at row {} for {}",
             i,
             pred
         );
@@ -153,11 +180,7 @@ fn arbitrary_tree() -> impl Strategy<Value = PredicateTree> {
 
 /// The scalar three-valued verdict of a tree's expression on one row.
 fn scalar_verdict(tree: &PredicateTree, table: &Table, row: RowId) -> Option<bool> {
-    match Candidate::to_expr(tree).eval(table, row).expect("well-typed") {
-        Value::Bool(b) => Some(b),
-        Value::Null => None,
-        other => panic!("boolean tree evaluated to {other:?}"),
-    }
+    verdict(&Candidate::to_expr(tree), table, row)
 }
 
 proptest! {
@@ -174,7 +197,9 @@ proptest! {
         tree in arbitrary_tree(),
     ) {
         let cache = ConditionBitmapCache::new(&table);
-        let tri = tree.tri_eval(&cache, &table).expect("generated trees are vectorizable");
+        let tri = tree
+            .tri_eval_pruned(&cache, &table, &|_| true)
+            .expect("generated trees are vectorizable");
         prop_assert_eq!(tri.trues.universe(), table.num_rows());
         for i in 0..table.num_rows() {
             let scalar = scalar_verdict(&tree, &table, RowId(i));
@@ -251,8 +276,8 @@ proptest! {
         for pred in &predicates {
             assert_kernel_equivalence(&table, pred)?;
             for _round in 0..2 {
-                let via_cache = cache.conjunction(&table, pred).expect("well-typed");
-                let direct = pred.compile(&table).unwrap().eval_columns();
+                let via_cache = pred.tri_eval_pruned(&cache, &table, &|_| true).expect("well-typed");
+                let direct = pred.compile_tree(&table).unwrap().eval_columns();
                 prop_assert!(
                     via_cache.trues == direct.trues && via_cache.unknowns == direct.unknowns,
                     "cached bitmaps diverged for {}", pred
@@ -303,5 +328,140 @@ proptest! {
         prop_assert!(a.or(&RowSet::empty(universe)) == a);
         prop_assert!(a.and_not(&a).is_empty());
         prop_assert!(a.and(&RowSet::full(universe)) == a);
+    }
+}
+
+/// One column per kernel-relevant type, each NULL on a different eighth
+/// of the rows.
+fn typed_table(rows: usize) -> Table {
+    let schema = Schema::of(&[
+        ("b", DataType::Bool),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+        ("ts", DataType::Timestamp),
+    ]);
+    let mut t = Table::new("typed", schema).unwrap();
+    for k in 0..rows as i64 {
+        let cell = |column: i64, v: Value| if (k + column) % 8 == 7 { Value::Null } else { v };
+        t.push_row(vec![
+            cell(0, Value::Bool(k % 2 == 0)),
+            cell(1, Value::Int(k)),
+            cell(2, Value::Float(k as f64 / 2.0)),
+            cell(3, Value::str(["ok", "1", "true", "SPOUSE"][k as usize % 4])),
+            cell(4, Value::Timestamp(k)),
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// The premise of scoring every candidate through compiled kernels: the
+/// kernel compiler refuses a condition exactly when `Expr::validate`
+/// refuses its expression — over every `Condition` variant × every column
+/// type × every literal type (NULL included), on an empty and a non-empty
+/// table, plus a column the schema lacks. A refused condition is never
+/// TRUE under the scalar walk either (it errors or yields NULL on every
+/// row), so a predicate that does not compile matches no row.
+#[test]
+fn kernel_compile_fails_exactly_when_validation_fails() {
+    let literals = [
+        Value::Bool(true),
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::str("1"),
+        Value::Timestamp(1),
+        Value::Null,
+    ];
+    let mut conditions = Vec::new();
+    for column in ["b", "i", "f", "s", "ts", "missing"] {
+        for v in &literals {
+            conditions.push(Condition::equals(column, v.clone()));
+            conditions.push(Condition::not_equals(column, v.clone()));
+            conditions.push(Condition::in_set(column, vec![v.clone()]));
+        }
+        conditions.push(Condition::above(column, 1.0));
+        conditions.push(Condition::at_most(column, 1.0));
+        conditions.push(Condition::between(column, 0.0, 2.0));
+        conditions.push(Condition::Range {
+            column: column.into(),
+            low: None,
+            low_inclusive: false,
+            high: None,
+            high_inclusive: false,
+        });
+        conditions.push(Condition::contains(column, "1"));
+    }
+    let mut checked = 0;
+    let mut refused = 0;
+    for table in [typed_table(0), typed_table(12)] {
+        for cond in &conditions {
+            let pred = ConjunctivePredicate::new(vec![cond.clone()]);
+            let expr = pred.to_expr();
+            let compiled = pred.compile_tree(&table);
+            let validated = expr.validate(table.schema());
+            assert_eq!(
+                compiled.is_err(),
+                validated.is_err(),
+                "{cond:?} on {} rows: compile {:?} vs validate {:?}",
+                table.num_rows(),
+                compiled.as_ref().err(),
+                validated.as_ref().err()
+            );
+            if compiled.is_err() {
+                refused += 1;
+                for r in table.all_row_ids() {
+                    let walked = expr.eval(&table, r);
+                    assert!(
+                        !matches!(walked, Ok(Value::Bool(true))),
+                        "{cond:?} refused but TRUE on {r}"
+                    );
+                }
+                assert!(pred.matching_rows(&table).is_empty());
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 2 * 6 * (6 * 3 + 5));
+    assert!(refused > 0 && refused < checked);
+}
+
+/// The AND fold's selection-vector branch: once the left side's
+/// TRUE-or-NULL rows fall below a quarter of the table, the right side is
+/// evaluated per surviving row. The branch must run for a selective
+/// leading conjunct, stay off for a dense one, and agree with the scalar
+/// oracle either way (NULLs and soft-deleted rows included).
+#[test]
+fn sparse_and_branch_runs_and_matches_the_oracle() {
+    let mut table = typed_table(400);
+    for r in (0..400).step_by(7) {
+        table.delete_row(RowId(r)).unwrap();
+    }
+    // `i` is NULL on an eighth of the rows, where the later conjuncts are
+    // mostly TRUE: those rows must come out UNKNOWN, not TRUE.
+    let selective = ConjunctivePredicate::new(vec![
+        Condition::in_set("i", vec![Value::Int(5), Value::Int(6), Value::Int(7)]),
+        Condition::above("f", 2.0),
+        Condition::at_least("ts", 0.0),
+    ]);
+    let dense =
+        ConjunctivePredicate::new(vec![Condition::above("f", 1.0), Condition::at_most("i", 390.0)]);
+    for (pred, expect_sparse) in [(&selective, true), (&dense, false)] {
+        let compiled = pred.compile_tree(&table).unwrap();
+        let tri = compiled.eval_columns();
+        let expr = pred.to_expr();
+        for r in table.all_row_ids() {
+            assert_eq!(tri.value(r.index()), verdict(&expr, &table, r), "{pred} on {r}");
+        }
+        let sparse = compiled.sparse_and_count();
+        if expect_sparse {
+            assert_eq!(sparse, 1, "{pred}: the trailing conjuncts run row by row");
+        } else {
+            assert_eq!(sparse, 0, "{pred}: a dense conjunction stays columnar");
+        }
+        // The bitmap-cache fold never takes the per-row branch.
+        let cache = ConditionBitmapCache::new(&table);
+        let cached = pred.tri_eval_pruned(&cache, &table, &|_| true).unwrap();
+        assert!(cached.trues == tri.trues && cached.unknowns == tri.unknowns, "{pred}");
     }
 }
