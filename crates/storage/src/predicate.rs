@@ -829,38 +829,28 @@ impl std::ops::Not for &TriSet {
 /// unknown columns. A successful compile also guarantees the scalar walk
 /// cannot error on any row, so the vectorized result needs no per-row
 /// error channel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompiledBoolExpr<'t> {
     table: &'t Table,
     root: BoolNode,
     /// Distinct leaves in first-appearance order.
     leaves: Vec<Leaf<'t>>,
-    /// AND nodes [`CompiledBoolExpr::eval_columns`] finished row by row.
-    sparse_ands: AtomicU64,
 }
 
 /// One distinct leaf of a compiled tree.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Leaf<'t> {
     condition: Condition,
     kernel: CompiledCondition<'t>,
-    /// [`Condition::cache_key`] of `condition`, rendered on first use: only
-    /// cache lookups and large trees need it.
-    key: OnceLock<String>,
-    /// How many tree nodes refer to this leaf.
-    uses: usize,
-}
-
-impl Leaf<'_> {
-    fn key(&self) -> &str {
-        self.key.get_or_init(|| self.condition.cache_key())
-    }
+    /// [`Condition::cache_key`] of `condition`: the dedup key, and the
+    /// key a [`ConditionBitmapCache`] serves the leaf under.
+    key: String,
 }
 
 /// One node of a compiled boolean tree; leaves index into the
 /// deduplicated leaf list. `AND` / `OR` are n-ary: a chain of one
 /// connective is one node, and the empty `AND` / `OR` is `TRUE` / `FALSE`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum BoolNode {
     Leaf(usize),
     Not(Box<BoolNode>),
@@ -874,55 +864,28 @@ enum BoolNode {
 struct Builder<'t> {
     table: &'t Table,
     leaves: Vec<Leaf<'t>>,
-    /// Cache key → leaf index, built once the leaf list outgrows a linear
-    /// scan (candidates have a handful of leaves; WHERE clauses may have
-    /// thousands).
-    index: Option<HashMap<String, usize>>,
+    /// Cache key → leaf index.
+    keys: HashMap<String, usize>,
 }
 
 impl<'t> Builder<'t> {
     fn new(table: &'t Table) -> Self {
-        Builder { table, leaves: Vec::new(), index: None }
+        Builder { table, leaves: Vec::new(), keys: HashMap::new() }
     }
 
     fn finish(self, root: BoolNode) -> CompiledBoolExpr<'t> {
-        CompiledBoolExpr {
-            table: self.table,
-            root,
-            leaves: self.leaves,
-            sparse_ands: AtomicU64::new(0),
-        }
+        CompiledBoolExpr { table: self.table, root, leaves: self.leaves }
     }
 
     fn leaf(&mut self, cond: &Condition) -> Result<BoolNode, StorageError> {
-        const LINEAR_SCAN_LEAVES: usize = 16;
-        let leaves = &self.leaves;
-        let found = match &mut self.index {
-            Some(index) => index.get(&cond.cache_key()).copied(),
-            // `==` first: it is cheap, and the exact key comparison then
-            // only runs on a near-certain match (`==` equates ±0.0, which
-            // the kernels' total order tells apart).
-            None if leaves.len() < LINEAR_SCAN_LEAVES => {
-                leaves.iter().position(|l| l.condition == *cond && l.key() == cond.cache_key())
-            }
-            None => {
-                let index = self.index.insert(
-                    leaves.iter().enumerate().map(|(i, l)| (l.key().to_string(), i)).collect(),
-                );
-                index.get(&cond.cache_key()).copied()
-            }
-        };
-        if let Some(i) = found {
-            self.leaves[i].uses += 1;
+        let key = cond.cache_key();
+        if let Some(&i) = self.keys.get(&key) {
             return Ok(BoolNode::Leaf(i));
         }
         let kernel = CompiledCondition::compile(cond, self.table)?;
         let i = self.leaves.len();
-        let leaf = Leaf { condition: cond.clone(), kernel, key: OnceLock::new(), uses: 1 };
-        if let Some(index) = &mut self.index {
-            index.insert(leaf.key().to_string(), i);
-        }
-        self.leaves.push(leaf);
+        self.keys.insert(key.clone(), i);
+        self.leaves.push(Leaf { condition: cond.clone(), kernel, key });
         Ok(BoolNode::Leaf(i))
     }
 
@@ -995,13 +958,6 @@ impl<'t> CompiledBoolExpr<'t> {
     /// bitmap universe).
     pub fn num_rows(&self) -> usize {
         self.table.num_rows()
-    }
-
-    /// How many AND nodes [`CompiledBoolExpr::eval_columns`] has finished
-    /// row by row over the few surviving rows instead of with column scans
-    /// (counted across calls on this instance).
-    pub fn sparse_and_count(&self) -> u64 {
-        self.sparse_ands.load(AtomicOrdering::Relaxed)
     }
 
     /// Three-valued evaluation on one row (`None` = NULL): typed
@@ -1098,15 +1054,10 @@ impl Fold<'_, '_> {
         self.node(&expr.root).unwrap_or_else(|| TriSet::all_false(expr.num_rows()))
     }
 
-    /// The leaf's bitmaps, or `None` when `live` rejects it. Only leaves
-    /// the tree refers to more than once are kept for reuse.
+    /// The leaf's bitmaps, or `None` when `live` rejects it.
     fn leaf(&mut self, i: usize) -> Option<Arc<TriSet>> {
-        let leaf = &self.expr.leaves[i];
-        if !(self.live)(&leaf.condition) {
+        if !(self.live)(&self.expr.leaves[i].condition) {
             return None;
-        }
-        if leaf.uses == 1 {
-            return Some((self.fetch)(i));
         }
         if self.fetched[i].is_none() {
             self.fetched[i] = Some((self.fetch)(i));
@@ -1159,7 +1110,7 @@ impl Fold<'_, '_> {
                     if self.sparse {
                         let pass = acc.passes_or_unknown();
                         if pass.count_ones() * 4 < n {
-                            expr.sparse_ands.fetch_add(1, AtomicOrdering::Relaxed);
+                            SPARSE_AND_FOLDS.with(|n| n.set(n.get() + 1));
                             let mut out = TriSet::all_false(n);
                             for i in pass.iter() {
                                 match expr.eval_row_and(&rest[k..], i) {
@@ -1519,6 +1470,18 @@ pub fn bool_vectorization_stats() -> (u64, u64) {
     )
 }
 
+thread_local! {
+    static SPARSE_AND_FOLDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many AND nodes [`CompiledBoolExpr::eval_columns`] has finished row
+/// by row over the few surviving rows instead of with column scans, on
+/// the calling thread (per thread, so a caller can read exactly what its
+/// own evaluations did).
+pub fn sparse_and_folds() -> u64 {
+    SPARSE_AND_FOLDS.with(|n| n.get())
+}
+
 /// Whether the process-wide warm bitmap store is active (off by default;
 /// the persistent server enables it when a data directory is attached).
 static WARM_STORE_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -1753,7 +1716,7 @@ impl ConditionBitmapCache {
             fetched: vec![None; compiled.leaves.len()],
             fetch: &mut |i| {
                 let cached =
-                    covered.then(|| self.lookup(compiled.leaves[i].key(), || Some(kernel(i))));
+                    covered.then(|| self.lookup(&compiled.leaves[i].key, || Some(kernel(i))));
                 cached.flatten().unwrap_or_else(|| Arc::new(kernel(i)))
             },
             live,
@@ -2029,7 +1992,7 @@ mod tests {
         assert!(ConjunctivePredicate::new(vec![Condition::equals("missing", 1)])
             .compile_tree(&t)
             .is_err());
-        // matching_rows falls back to the expression path and still answers.
+        // A condition that does not compile matches no row.
         let p = ConjunctivePredicate::new(vec![Condition::equals("memo", 4)]);
         assert!(p.matching_rows(&t).is_empty());
     }

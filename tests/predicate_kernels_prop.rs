@@ -14,7 +14,8 @@
 
 use dbwipes::storage::rowset::RowSet;
 use dbwipes::storage::{
-    Candidate, CompiledBoolExpr, ConditionBitmapCache, DataType, PredicateTree, Schema, Value,
+    sparse_and_folds, Candidate, CompiledBoolExpr, ConditionBitmapCache, DataType, PredicateTree,
+    Schema, Value,
 };
 use dbwipes::{Condition, ConjunctivePredicate, RowId, ShardedTable, Table};
 use proptest::prelude::*;
@@ -448,12 +449,13 @@ fn sparse_and_branch_runs_and_matches_the_oracle() {
         ConjunctivePredicate::new(vec![Condition::above("f", 1.0), Condition::at_most("i", 390.0)]);
     for (pred, expect_sparse) in [(&selective, true), (&dense, false)] {
         let compiled = pred.compile_tree(&table).unwrap();
+        let before = sparse_and_folds();
         let tri = compiled.eval_columns();
+        let sparse = sparse_and_folds() - before;
         let expr = pred.to_expr();
         for r in table.all_row_ids() {
             assert_eq!(tri.value(r.index()), verdict(&expr, &table, r), "{pred} on {r}");
         }
-        let sparse = compiled.sparse_and_count();
         if expect_sparse {
             assert_eq!(sparse, 1, "{pred}: the trailing conjuncts run row by row");
         } else {
