@@ -8,7 +8,7 @@
 //! retained [`GroupedAggregateCache`] through `absorb_append` (filter,
 //! group and fold only the appended suffix). This bench measures both
 //! over a 256Ki-row sensor workload absorbing 1024-row batches — the
-//! default `DBWIPES_APPEND_BATCH` granularity.
+//! server's `APPEND_BATCH_ROWS` granularity.
 //!
 //! Before anything is timed, the absorbed cache is asserted
 //! **bit-identical** to a cold build over the grown table: same full

@@ -42,7 +42,7 @@ fn main() {
 
         // Click the best predicate and measure the remaining negative days.
         let mut session = CleaningSession::new(result.statement.clone());
-        session.apply(best.predicate.clone());
+        session.apply(best.predicate.clone()).unwrap();
         let cleaned = session.execute(&dataset.table).unwrap();
         let negative_after = (0..cleaned.len())
             .filter(|&i| cleaned.value_f64(i, "total").unwrap().unwrap_or(0.0) < 0.0)

@@ -16,7 +16,7 @@
 //!   later query; the returned row list allows undo.
 
 use crate::error::CoreError;
-use dbwipes_engine::{execute, ExecOptions, QueryResult, SelectStatement};
+use dbwipes_engine::{execute, parse_select, ExecOptions, QueryResult, SelectStatement};
 use dbwipes_storage::{ConjunctivePredicate, RowId, Table};
 
 /// An interactive cleaning session over one base query.
@@ -59,11 +59,24 @@ impl CleaningSession {
 
     /// Applies (clicks) a predicate. Applying the same predicate twice is a
     /// no-op.
-    pub fn apply(&mut self, predicate: ConjunctivePredicate) {
+    ///
+    /// Each click nests the statement one `AND NOT (...)` deeper, so the
+    /// click chain is bounded like any client-typed query: a click after
+    /// which [`CleaningSession::current_sql`] no longer parses (the
+    /// parser's `MAX_EXPR_DEPTH` / `MAX_EXPR_NESTING`) is refused with
+    /// that [`EngineError::TooDeep`](dbwipes_engine::EngineError::TooDeep),
+    /// leaving the applied predicates unchanged. Every accepted statement
+    /// can therefore be re-typed, and its sidecar image re-parsed.
+    pub fn apply(&mut self, predicate: ConjunctivePredicate) -> Result<(), CoreError> {
         if predicate.is_trivial() || self.applied.contains(&predicate) {
-            return;
+            return Ok(());
         }
         self.applied.push(predicate);
+        if let Err(e) = parse_select(&self.current_sql()) {
+            self.applied.pop();
+            return Err(e.into());
+        }
+        Ok(())
     }
 
     /// Un-applies the most recently applied predicate.
@@ -105,7 +118,7 @@ pub fn restore_rows(table: &mut Table, rows: &[RowId]) -> Result<(), CoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbwipes_engine::parse_select;
+    use dbwipes_engine::EngineError;
     use dbwipes_storage::{Condition, DataType, Schema, Value};
 
     fn table() -> Table {
@@ -139,7 +152,7 @@ mod tests {
         assert!(before.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
         assert_eq!(session.applied().len(), 0);
 
-        session.apply(ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]));
+        session.apply(ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)])).unwrap();
         let sql = session.current_sql();
         assert!(sql.contains("NOT (sensorid = 3)"), "{sql}");
         let after = session.execute(&t).unwrap();
@@ -152,9 +165,9 @@ mod tests {
     fn apply_is_idempotent_and_ignores_trivial_predicates() {
         let mut session = CleaningSession::new(base());
         let p = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
-        session.apply(p.clone());
-        session.apply(p.clone());
-        session.apply(ConjunctivePredicate::always_true());
+        session.apply(p.clone()).unwrap();
+        session.apply(p.clone()).unwrap();
+        session.apply(ConjunctivePredicate::always_true()).unwrap();
         assert_eq!(session.applied().len(), 1);
     }
 
@@ -164,8 +177,8 @@ mod tests {
         let mut session = CleaningSession::new(base());
         let p1 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3)]);
         let p2 = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 2)]);
-        session.apply(p1.clone());
-        session.apply(p2.clone());
+        session.apply(p1.clone()).unwrap();
+        session.apply(p2.clone()).unwrap();
         assert_eq!(session.applied().len(), 2);
         assert_eq!(session.undo(), Some(p2));
         assert_eq!(session.applied().len(), 1);
@@ -176,6 +189,35 @@ mod tests {
         assert!(session.undo().is_none());
         let r = session.execute(&t).unwrap();
         assert!(r.value_f64(1, "avg_temp").unwrap().unwrap() > 40.0);
+    }
+
+    #[test]
+    fn the_click_chain_stops_at_the_parser_bound() {
+        let t = table();
+        let mut session = CleaningSession::new(base());
+        // Sensor 3 is the corrupt one; the later clicks exclude nothing.
+        let click = |i: i64| ConjunctivePredicate::new(vec![Condition::equals("sensorid", 3 + i)]);
+        let mut i = 0;
+        let refusal = loop {
+            match session.apply(click(i)) {
+                Ok(()) => i += 1,
+                Err(e) => break e,
+            }
+            assert!(i < 10_000, "the click chain never hit the bound");
+        };
+        assert!(matches!(refusal, CoreError::Engine(EngineError::TooDeep { .. })), "{refusal}");
+        // The refused click left the chain as it was.
+        assert_eq!(session.applied().len(), i as usize);
+        assert!(i > 100, "only {i} clicks fit under the bound");
+        // The last accepted statement re-parses and executes.
+        let reparsed = parse_select(&session.current_sql()).unwrap();
+        assert_eq!(reparsed.to_sql(), session.current_sql());
+        let result = session.execute(&t).unwrap();
+        assert_eq!(result.value_f64(1, "avg_temp").unwrap().unwrap(), 20.0);
+        // Undo still works, and makes room for one more click.
+        assert_eq!(session.undo(), Some(click(i - 1)));
+        session.apply(click(i)).unwrap();
+        assert_eq!(session.applied().len(), i as usize);
     }
 
     #[test]

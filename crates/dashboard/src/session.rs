@@ -360,7 +360,7 @@ impl DashboardSession {
             .cleaning
             .as_mut()
             .ok_or_else(|| CoreError::invalid("no query has been executed"))?;
-        cleaning.apply(predicate);
+        cleaning.apply(predicate)?;
         self.reexecute_cleaned()
     }
 

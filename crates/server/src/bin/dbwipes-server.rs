@@ -12,7 +12,7 @@
 //! response per line until EOF (or the `shutdown` ctrl-line) — the shape a
 //! web gateway or the `examples/server_session.rs` driver expects. In TCP
 //! mode connections are served by the bounded worker-pool executor
-//! ([`dbwipes_server::executor`]): `--workers` threads (default
+//! ([`dbwipes_server::executor`]): `--workers` threads (else
 //! `DBWIPES_SERVER_WORKERS`, else the effective parallelism) pull
 //! connections from a bounded queue, over-capacity admissions get a
 //! structured `busy` reply, silent sockets are closed after
@@ -21,99 +21,35 @@
 //! [`SessionManager`], so a client may reconnect and resume its session
 //! by id.
 //!
-//! With `--data-dir DIR` (or `DBWIPES_DATA_DIR`; the flag wins) the
-//! server runs durably: a fresh directory is seeded with the demo catalog
-//! and snapshotted, a non-empty one restores the persisted catalog —
-//! skipping demo generation entirely — and rehydrates the cache registry
-//! and warm condition bitmaps from the last flush, so a restarted server
-//! answers repeated explains at registry-hit speed. Registered tables are
-//! snapshotted eagerly; warm state is flushed on graceful shutdown.
+//! Flags and the `DBWIPES_*` knobs are read once, into the
+//! [`ServerConfig`] the manager keeps; see `docs/TUNING.md`.
+//!
+//! With `--data-dir DIR` the server runs durably: a fresh directory is
+//! seeded with the demo catalog and snapshotted, a non-empty one restores
+//! the persisted catalog — skipping demo generation entirely — and
+//! rehydrates the cache registry and warm condition bitmaps from the last
+//! flush, so a restarted server answers repeated explains at registry-hit
+//! speed. Registered tables are snapshotted eagerly; warm state is flushed
+//! on graceful shutdown.
 
 use dbwipes_data::{generate_fec, generate_sensor, FecConfig, SensorConfig};
-use dbwipes_server::{serve_pooled, PoolConfig, SessionManager, StorageRuntime};
-use dbwipes_storage::Catalog;
+use dbwipes_server::{serve_pooled, ServerConfig, SessionManager, StorageRuntime};
+use dbwipes_storage::{Catalog, FaultInjectingBackend, FaultPlan, FsBackend, StorageError};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
-struct Options {
-    listen: Option<String>,
-    dataset: String,
-    readings: usize,
-    cache_capacity: usize,
-    data_dir: Option<String>,
-    pool: PoolConfig,
+/// Opens the data directory, wrapping the filesystem backend in the
+/// configured fault plan (the chaos-test hook) when there is one.
+fn open_storage(dir: &str, fault_plan: Option<&str>) -> Result<StorageRuntime, StorageError> {
+    let Some(spec) = fault_plan else { return StorageRuntime::open(dir) };
+    let fs = Box::new(FsBackend::open(dir)?);
+    let faulty = FaultInjectingBackend::with_torn_dir(fs, FaultPlan::parse(spec)?, dir);
+    Ok(StorageRuntime::with_backend(Box::new(faulty)))
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        listen: None,
-        dataset: "sensor".to_string(),
-        readings: 5_400,
-        cache_capacity: 32,
-        // The flag below overrides the environment knob.
-        data_dir: std::env::var("DBWIPES_DATA_DIR").ok().filter(|d| !d.trim().is_empty()),
-        pool: PoolConfig::default(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} requires a value"));
-        match arg.as_str() {
-            "--listen" => options.listen = Some(value("--listen")?),
-            "--dataset" => options.dataset = value("--dataset")?,
-            "--readings" => {
-                options.readings =
-                    value("--readings")?.parse().map_err(|e| format!("--readings: {e}"))?;
-            }
-            "--cache-capacity" => {
-                options.cache_capacity = value("--cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--cache-capacity: {e}"))?;
-            }
-            "--workers" => {
-                options.pool.workers =
-                    value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--queue-depth" => {
-                options.pool.queue_depth =
-                    value("--queue-depth")?.parse().map_err(|e| format!("--queue-depth: {e}"))?;
-            }
-            "--max-connections" => {
-                options.pool.max_connections = value("--max-connections")?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?;
-            }
-            "--idle-timeout-ms" => {
-                let ms: u64 = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--idle-timeout-ms: {e}"))?;
-                options.pool.idle_timeout = Duration::from_millis(ms);
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?;
-                options.pool.read_timeout = Duration::from_millis(ms);
-            }
-            "--data-dir" => options.data_dir = Some(value("--data-dir")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: dbwipes-server [--listen ADDR] [--dataset sensor|fec|both] \
-                     [--readings N] [--cache-capacity N] [--data-dir DIR] [--workers N] \
-                     [--queue-depth N] [--max-connections N] [--idle-timeout-ms N] \
-                     [--read-timeout-ms N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(options)
-}
-
-fn demo_catalog(options: &Options) -> Result<Catalog, String> {
+fn demo_catalog(options: &ServerConfig) -> Result<Catalog, String> {
     let mut catalog = Catalog::new();
     let want_sensor = matches!(options.dataset.as_str(), "sensor" | "both");
     let want_fec = matches!(options.dataset.as_str(), "fec" | "both");
@@ -157,11 +93,11 @@ fn serve_stdio(manager: &SessionManager) -> std::io::Result<()> {
     Ok(())
 }
 
-fn serve_tcp(manager: Arc<SessionManager>, addr: &str, options: &Options) -> std::io::Result<()> {
+fn serve_tcp(manager: Arc<SessionManager>, addr: &str) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     // Report the bound address (port 0 resolves to an ephemeral port).
     eprintln!("dbwipes-server listening on {}", listener.local_addr()?);
-    let config = options.pool.clone().normalized();
+    let config = manager.config().pool.clone().normalized();
     eprintln!(
         "dbwipes-server pool: {} workers, queue depth {}, connection cap {}, \
          idle timeout {}ms, read timeout {}ms",
@@ -185,7 +121,16 @@ fn serve_tcp(manager: Arc<SessionManager>, addr: &str, options: &Options) -> std
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
+    if std::env::args().skip(1).any(|arg| arg == "--help" || arg == "-h") {
+        println!(
+            "usage: dbwipes-server [--listen ADDR] [--dataset sensor|fec|both] \
+             [--readings N] [--cache-capacity N] [--data-dir DIR] [--workers N] \
+             [--queue-depth N] [--max-connections N] [--idle-timeout-ms N] \
+             [--read-timeout-ms N]"
+        );
+        return ExitCode::SUCCESS;
+    }
+    let options = match ServerConfig::from_process() {
         Ok(options) => options,
         Err(e) => {
             eprintln!("dbwipes-server: {e}");
@@ -196,7 +141,7 @@ fn main() -> ExitCode {
     // advances the identity-stamp floor past everything in the manifest,
     // so freshly generated tables can never collide with restored ones.
     let runtime = match &options.data_dir {
-        Some(dir) => match StorageRuntime::open(dir) {
+        Some(dir) => match open_storage(dir, options.fault_plan.as_deref()) {
             Ok(runtime) => Some(Arc::new(runtime)),
             Err(e) => {
                 eprintln!("dbwipes-server: opening data dir {dir}: {e}");
@@ -232,18 +177,17 @@ fn main() -> ExitCode {
             }
         }
     };
-    let manager = Arc::new(SessionManager::with_cache_capacity(catalog, options.cache_capacity));
+    let manager = Arc::new(SessionManager::with_config(catalog, options.clone()));
     if let Some(runtime) = &runtime {
         manager.attach_storage(Arc::clone(runtime));
         if restored {
             let (caches, bitmaps) = manager.rehydrate_warm_state();
             eprintln!(
-                "dbwipes-server: restored {} tables from {} ({} aggregate caches, \
-                 {} condition bitmaps rehydrated)",
+                "dbwipes-server: restored {} tables from {} ({caches} aggregate caches, \
+                 {bitmaps} condition bitmaps rehydrated, {} warm images dropped)",
                 manager.table_names().len(),
                 options.data_dir.as_deref().unwrap_or("?"),
-                caches,
-                bitmaps
+                runtime.dropped_warm_images()
             );
         } else {
             // Seed run: make the demo catalog durable before serving.
@@ -251,7 +195,7 @@ fn main() -> ExitCode {
         }
     }
     let served = match &options.listen {
-        Some(addr) => serve_tcp(manager.clone(), addr, &options),
+        Some(addr) => serve_tcp(manager.clone(), addr),
         None => serve_stdio(&manager),
     };
     // Idempotent final flush (the executor's drain already flushed on a

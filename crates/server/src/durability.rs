@@ -3,10 +3,10 @@
 //! policy that keeps the service answering when the disk does not.
 //!
 //! A [`StorageRuntime`] wraps a pluggable [`StorageBackend`] (the
-//! filesystem [`FsBackend`] in production, a
-//! [`FaultInjectingBackend`]
-//! under chaos tests via `DBWIPES_FAULT_PLAN`) with the service-level
-//! policy and counters the `stats` command reports:
+//! filesystem [`FsBackend`] in production; the binary wraps it in a
+//! [`FaultInjectingBackend`](dbwipes_storage::FaultInjectingBackend) when
+//! `DBWIPES_FAULT_PLAN` is set) with the service-level policy and counters
+//! the `stats` command reports:
 //!
 //! * **Table snapshots are written eagerly** — `register` persists the
 //!   table before the reply is sent, so a kill at any later point still
@@ -14,9 +14,9 @@
 //!   table whose exact (id, version) is already in the manifest is a
 //!   no-op, which makes the shutdown flush idempotent and cheap.
 //! * **Writes retry with capped exponential backoff** — a failed snapshot
-//!   write is retried up to `DBWIPES_STORAGE_RETRIES` times (default 3),
-//!   sleeping `DBWIPES_STORAGE_BACKOFF_MS` (default 10) doubled per
-//!   attempt and capped at 1 s, but only when
+//!   write is retried up to [`StorageRuntime::WRITE_RETRIES`] times,
+//!   sleeping [`StorageRuntime::WRITE_BACKOFF`] doubled per attempt, but
+//!   only when
 //!   [`StorageError::is_transient`] says a retry could help: a full disk
 //!   or a corrupt snapshot fails fast.
 //! * **Exhausted retries degrade, they never kill** — the runtime flips
@@ -39,14 +39,15 @@
 //!
 //! The decode path trusts nothing: every snapshot and sidecar is
 //! checksummed by the storage layer, and a cache image is only installed
-//! when its stamped table identity matches the restored table exactly.
+//! when its stamped table identity matches the restored table exactly and
+//! its statement re-parses. Each image that fails is dropped with one
+//! stderr line and counted ([`StorageRuntime::dropped_warm_images`]).
 
 use crate::registry::CacheRegistry;
 use dbwipes_engine::{decode_cache, encode_cache, GroupedAggregateCache};
 use dbwipes_storage::persist::{ByteReader, ByteWriter};
 use dbwipes_storage::{
-    export_warm_bitmaps, seed_warm_bitmaps, Catalog, FaultInjectingBackend, FaultPlan, FsBackend,
-    StorageBackend, StorageError, Table,
+    export_warm_bitmaps, seed_warm_bitmaps, Catalog, FsBackend, StorageBackend, StorageError, Table,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,28 +59,6 @@ const AGGS_KIND: &str = "aggs";
 /// Sidecar kind holding a table's donated condition bitmaps.
 const BITS_KIND: &str = "bits";
 
-/// Hard ceiling on a single backoff sleep, whatever the knobs say.
-const MAX_BACKOFF: Duration = Duration::from_secs(1);
-
-/// Transient-fault retries per write: `DBWIPES_STORAGE_RETRIES` (default
-/// 3), read per write so tests and operators can adjust a live process.
-fn storage_retries() -> u32 {
-    std::env::var("DBWIPES_STORAGE_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(3)
-        .min(16)
-}
-
-/// Base backoff in milliseconds: `DBWIPES_STORAGE_BACKOFF_MS` (default
-/// 10), doubled per retry and capped at [`MAX_BACKOFF`].
-fn storage_backoff_ms() -> u64 {
-    std::env::var("DBWIPES_STORAGE_BACKOFF_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(10)
-}
-
 /// The service's handle on durable storage: a pluggable backend plus the
 /// retry/degradation policy and the counters surfaced by the `stats`
 /// command. See the module docs for the save/restore/fault policy.
@@ -89,6 +68,8 @@ pub struct StorageRuntime {
     snapshot_saves: AtomicU64,
     snapshot_loads: AtomicU64,
     rehydrated_caches: AtomicU64,
+    /// Sidecar images `load_warm_state` could not install.
+    dropped_warm_images: AtomicU64,
     /// True while persistence is known broken; queries keep serving.
     degraded: AtomicBool,
     /// Failed snapshot writes since the last success (resets on heal).
@@ -136,31 +117,26 @@ pub struct StorageHealth {
 }
 
 impl StorageRuntime {
-    /// Opens (creating if needed) the data directory at `dir`. When the
-    /// `DBWIPES_FAULT_PLAN` environment variable is a non-empty
-    /// [`FaultPlan`] spec, the filesystem backend is wrapped in a
-    /// [`FaultInjectingBackend`] — the chaos-test entry point.
+    /// Transient-fault retries per write after the first attempt.
+    pub const WRITE_RETRIES: u32 = 3;
+    /// Sleep before the first retry; each later retry doubles it.
+    pub const WRITE_BACKOFF: Duration = Duration::from_millis(10);
+
+    /// Opens (creating if needed) the data directory at `dir` over the
+    /// plain filesystem backend.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let dir = dir.as_ref();
-        let fs = FsBackend::open(dir)?;
-        let backend: Box<dyn StorageBackend> = match std::env::var("DBWIPES_FAULT_PLAN") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                let plan = FaultPlan::parse(&spec)?;
-                Box::new(FaultInjectingBackend::with_torn_dir(Box::new(fs), plan, dir))
-            }
-            _ => Box::new(fs),
-        };
-        Ok(Self::with_backend(backend))
+        Ok(Self::with_backend(Box::new(FsBackend::open(dir.as_ref())?)))
     }
 
-    /// Builds a runtime over an arbitrary backend — the seam chaos tests
-    /// use to inject scripted faults without touching the environment.
+    /// Builds a runtime over an arbitrary backend — the seam through
+    /// which chaos tests and the binary's fault plan inject faults.
     pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
         StorageRuntime {
             backend,
             snapshot_saves: AtomicU64::new(0),
             snapshot_loads: AtomicU64::new(0),
             rehydrated_caches: AtomicU64::new(0),
+            dropped_warm_images: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             consecutive_failures: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -196,19 +172,14 @@ impl StorageRuntime {
         &self,
         mut op: impl FnMut() -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
-        let budget = storage_retries();
-        let base_ms = storage_backoff_ms();
         let mut attempt = 0u32;
         loop {
             match op() {
                 Ok(value) => return Ok(value),
-                Err(e) if e.is_transient() && attempt < budget => {
-                    let backoff =
-                        Duration::from_millis(base_ms.saturating_mul(1u64 << attempt.min(20)))
-                            .min(MAX_BACKOFF);
+                Err(e) if e.is_transient() && attempt < Self::WRITE_RETRIES => {
                     self.retries.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(Self::WRITE_BACKOFF * (1 << attempt));
                     attempt += 1;
-                    std::thread::sleep(backoff);
                 }
                 Err(e) => return Err(e),
             }
@@ -312,8 +283,14 @@ impl StorageRuntime {
     /// donated bitmaps reseed the process-wide warm store. Returns how
     /// many entries of each kind were rehydrated. Best-effort: a missing,
     /// corrupt, or mismatched sidecar contributes zero entries rather
-    /// than failing the restore.
+    /// than failing the restore; each image that fails to decode is
+    /// logged on stderr and counted in
+    /// [`StorageRuntime::dropped_warm_images`].
     pub fn load_warm_state(&self, table: &Arc<Table>, registry: &CacheRegistry) -> (usize, usize) {
+        let drop_image = |what: &str, error: &dyn std::fmt::Display| {
+            eprintln!("dbwipes-server: dropping warm {what} of table {}: {error}", table.name());
+            self.dropped_warm_images.fetch_add(1, Ordering::Relaxed);
+        };
         let mut caches = 0usize;
         if let Ok(Some(bytes)) = self.backend.load_sidecar(table.id(), table.version(), AGGS_KIND) {
             let mut r = ByteReader::new(&bytes);
@@ -321,17 +298,22 @@ impl StorageRuntime {
                 for _ in 0..count {
                     let Ok(len) = r.get_len(1) else { break };
                     let Ok(image) = r.take(len) else { break };
-                    let Ok(cache) = decode_cache(image, Arc::clone(table)) else { continue };
-                    if registry.insert_prebuilt(cache.fingerprint(), Arc::new(cache)) {
-                        caches += 1;
+                    match decode_cache(image, Arc::clone(table)) {
+                        Ok(cache) => {
+                            if registry.insert_prebuilt(cache.fingerprint(), Arc::new(cache)) {
+                                caches += 1;
+                            }
+                        }
+                        Err(e) => drop_image("aggregate cache", &e),
                     }
                 }
             }
         }
         let mut bitmaps = 0usize;
         if let Ok(Some(bytes)) = self.backend.load_sidecar(table.id(), table.version(), BITS_KIND) {
-            if let Ok(entries) = dbwipes_storage::persist::decode_warm_bitmaps(&bytes) {
-                bitmaps = seed_warm_bitmaps(table.id(), table.version(), entries);
+            match dbwipes_storage::persist::decode_warm_bitmaps(&bytes) {
+                Ok(entries) => bitmaps = seed_warm_bitmaps(table.id(), table.version(), entries),
+                Err(e) => drop_image("condition bitmaps", &e),
             }
         }
         self.rehydrated_caches.fetch_add((caches + bitmaps) as u64, Ordering::Relaxed);
@@ -347,6 +329,12 @@ impl StorageRuntime {
             bytes_on_disk: self.backend.bytes_on_disk().unwrap_or(0),
             rehydrated_caches: self.rehydrated_caches.load(Ordering::Relaxed),
         }
+    }
+
+    /// Warm sidecar images [`StorageRuntime::load_warm_state`] dropped
+    /// because they failed to decode.
+    pub fn dropped_warm_images(&self) -> u64 {
+        self.dropped_warm_images.load(Ordering::Relaxed)
     }
 
     /// The fault state the `stats` command's `health` block reports.
@@ -372,5 +360,48 @@ impl StorageRuntime {
     /// The underlying backend (tests inspect the manifest through it).
     pub fn backend(&self) -> &dyn StorageBackend {
         self.backend.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbwipes_data::{generate_sensor, SensorConfig};
+    use dbwipes_engine::{parse_select, MAX_EXPR_DEPTH};
+    use dbwipes_storage::{Condition, ConjunctivePredicate};
+
+    #[test]
+    fn restore_installs_the_good_image_and_counts_the_one_too_deep_to_reparse() {
+        let table = Arc::new(
+            generate_sensor(&SensorConfig { num_readings: 1_350, ..SensorConfig::small() }).table,
+        );
+        let good = parse_select("SELECT window, avg(temp) FROM readings GROUP BY window").unwrap();
+        // A click chain longer than the parser accepts, as sidecars written
+        // before the chain was bounded can hold.
+        let deep = (0..MAX_EXPR_DEPTH as i64).fold(good.clone(), |stmt, i| {
+            let click = ConjunctivePredicate::new(vec![Condition::equals("sensorid", 100 + i)]);
+            stmt.with_additional_filter(click.to_exclusion_expr())
+        });
+        assert!(parse_select(&deep.to_sql()).is_err());
+        let caches: Vec<_> = [&good, &deep]
+            .iter()
+            .map(|stmt| {
+                Arc::new(GroupedAggregateCache::build_shared(Arc::clone(&table), stmt).unwrap())
+            })
+            .collect();
+
+        let dir = std::env::temp_dir().join(format!("dbwipes-warm-drop-{}", std::process::id()));
+        let runtime = StorageRuntime::open(&dir).unwrap();
+        runtime.save_table(&table).unwrap();
+        runtime.save_warm_state(&table, &caches).unwrap();
+        let registry = CacheRegistry::new(8);
+        let (installed, _) = runtime.load_warm_state(&table, &registry);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(installed, 1);
+        assert_eq!(runtime.dropped_warm_images(), 1);
+        let restored = registry.export_ready();
+        assert_eq!(restored.len(), 1);
+        assert_eq!(restored[0].1.statement().to_sql(), good.to_sql());
     }
 }

@@ -7,10 +7,9 @@
 //! container is offline (same constraint that produced the [`crate::json`]
 //! module):
 //!
-//! * a **fixed worker pool** ([`PoolConfig::workers`], default
-//!   `DBWIPES_SERVER_WORKERS` or the effective parallelism) pulls accepted
-//!   connections from a **bounded MPMC queue** ([`BoundedQueue`]) and
-//!   serves each one to completion;
+//! * a **fixed worker pool** ([`PoolConfig::workers`], default the
+//!   effective parallelism) pulls accepted connections from a **bounded
+//!   MPMC queue** ([`BoundedQueue`]) and serves each one to completion;
 //! * **explicit backpressure**: when the queue is full — or the hard
 //!   [`PoolConfig::max_connections`] cap is reached — the acceptor answers
 //!   a structured `busy` reply (`{"ok":false,"error":…,"busy":true}`) and
@@ -60,13 +59,12 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 /// the executor's bounded-resources premise.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Tuning knobs of the pooled executor. `Default` reads the environment
-/// (`DBWIPES_SERVER_WORKERS`); the binary's flags override it.
+/// Tuning knobs of the pooled executor; the binary fills them from its
+/// [`ServerConfig`](crate::ServerConfig).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads serving connections. Defaults to
-    /// `DBWIPES_SERVER_WORKERS` when set, else the effective parallelism
-    /// (`DBWIPES_THREADS` / available cores).
+    /// Worker threads serving connections. Defaults to the effective
+    /// parallelism (`DBWIPES_THREADS` / available cores).
     pub workers: usize,
     /// Connections that may wait for a worker. Queue-full admissions are
     /// answered `busy` and closed.
@@ -80,28 +78,18 @@ pub struct PoolConfig {
     /// structured `read_timeout` notice and closed — the slow-loris
     /// defense: a client trickling a line one byte at a time cannot pin a
     /// pool slot past this deadline, no matter how regularly its bytes
-    /// arrive. Defaults to `DBWIPES_READ_TIMEOUT_MS` (10s unset).
+    /// arrive. Defaults to 10 s.
     pub read_timeout: Duration,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        let workers = std::env::var("DBWIPES_SERVER_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(dbwipes_core::effective_parallelism);
-        let read_timeout_ms = std::env::var("DBWIPES_READ_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(10_000);
         PoolConfig {
-            workers,
+            workers: dbwipes_core::effective_parallelism(),
             queue_depth: 64,
             max_connections: 256,
             idle_timeout: Duration::from_secs(30),
-            read_timeout: Duration::from_millis(read_timeout_ms),
+            read_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -126,9 +114,7 @@ impl PoolConfig {
 /// monotonic.
 #[derive(Debug)]
 pub struct PoolStats {
-    workers: u64,
-    queue_depth: u64,
-    max_connections: u64,
+    config: PoolConfig,
     queued: AtomicU64,
     rejected: AtomicU64,
     active_connections: AtomicU64,
@@ -149,6 +135,10 @@ pub struct PoolSnapshot {
     pub queue_depth: u64,
     /// Hard connection cap.
     pub max_connections: u64,
+    /// Idle timeout in milliseconds.
+    pub idle_timeout_ms: u64,
+    /// Read deadline for a started request line, in milliseconds.
+    pub read_timeout_ms: u64,
     /// Connections currently waiting for a worker.
     pub queued: u64,
     /// Admissions answered `busy` (queue full or cap reached).
@@ -172,9 +162,7 @@ pub struct PoolSnapshot {
 impl PoolStats {
     fn new(config: &PoolConfig) -> Self {
         PoolStats {
-            workers: config.workers as u64,
-            queue_depth: config.queue_depth as u64,
-            max_connections: config.max_connections as u64,
+            config: config.clone(),
             queued: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             active_connections: AtomicU64::new(0),
@@ -189,9 +177,11 @@ impl PoolStats {
     /// Copies the counters.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
-            workers: self.workers,
-            queue_depth: self.queue_depth,
-            max_connections: self.max_connections,
+            workers: self.config.workers as u64,
+            queue_depth: self.config.queue_depth as u64,
+            max_connections: self.config.max_connections as u64,
+            idle_timeout_ms: self.config.idle_timeout.as_millis() as u64,
+            read_timeout_ms: self.config.read_timeout.as_millis() as u64,
             queued: self.queued.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             active_connections: self.active_connections.load(Ordering::Relaxed),
@@ -497,15 +487,15 @@ fn admit(
         );
         return;
     }
+    // Count the admission before the push: once queued, a worker can serve
+    // and close the connection before this thread runs again, and closing
+    // an uncounted connection would wrap the gauge below zero. A
+    // queue-full bounce is uncounted again right away.
+    stats.connection_admitted();
     match queue.try_push(stream) {
-        Ok(()) => {
-            // Count the admission only once it actually holds a queue
-            // slot, so a queue-full bounce never ratchets the
-            // peak_connections high-water mark.
-            stats.connection_admitted();
-            stats.queued.store(queue.len() as u64, Ordering::Relaxed);
-        }
+        Ok(()) => stats.queued.store(queue.len() as u64, Ordering::Relaxed),
         Err(stream) => {
+            stats.connection_closed();
             stats.rejected.fetch_add(1, Ordering::Relaxed);
             reject(
                 stream,

@@ -58,6 +58,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod client;
+pub mod config;
 pub mod durability;
 pub mod executor;
 pub mod json;
@@ -67,6 +68,7 @@ pub mod registry;
 mod service;
 
 pub use client::LineClient;
+pub use config::ServerConfig;
 pub use durability::{StorageCounters, StorageHealth, StorageRuntime};
 pub use executor::{serve_pooled, BoundedQueue, PoolConfig, PoolSnapshot, PoolStats};
 pub use json::{Json, JsonError, MAX_JSON_DEPTH};

@@ -18,6 +18,7 @@
 //!   within one session or across sessions brushing the same dashboard —
 //!   skips the full statement execution that dominates explain latency.
 
+use crate::config::ServerConfig;
 use crate::durability::StorageRuntime;
 use crate::executor::PoolStats;
 use crate::registry::{CacheRegistry, ExplainKey};
@@ -265,7 +266,7 @@ pub struct StreamAppendReport {
     pub appended: usize,
     /// Number of [`Table::push_rows`] batches the rows were applied in;
     /// each batch advances the appended epoch component once (see
-    /// [`SessionManager::append_batch_size`]).
+    /// [`APPEND_BATCH_ROWS`]).
     pub batches: usize,
     /// Total rows in the base table after the append.
     pub total_rows: usize,
@@ -281,11 +282,18 @@ pub struct StreamAppendReport {
     pub durable: bool,
 }
 
+/// How many rows one [`Table::push_rows`] batch of a streamed append
+/// carries. Each batch advances the table's appended epoch once, so larger
+/// batches amortize per-stamp bookkeeping while smaller ones bound how much
+/// data a partially-delivered stream can sit on.
+pub const APPEND_BATCH_ROWS: usize = 1024;
+
 /// Hosts many concurrent [`ServerSession`]s over one shared catalog and
 /// one shared [`CacheRegistry`]. See the module docs for the concurrency
 /// story.
 #[derive(Debug)]
 pub struct SessionManager {
+    config: ServerConfig,
     base: RwLock<Catalog>,
     registry: Arc<CacheRegistry>,
     sessions: RwLock<HashMap<SessionId, Arc<Mutex<ServerSession>>>>,
@@ -313,17 +321,27 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// Creates a manager serving `catalog` with the default cache capacity.
+    /// Creates a manager serving `catalog` with the default configuration.
     pub fn new(catalog: Catalog) -> Self {
-        SessionManager::with_cache_capacity(catalog, CacheRegistry::DEFAULT_CAPACITY)
+        SessionManager::with_config(catalog, ServerConfig::default())
     }
 
-    /// Creates a manager retaining at most `cache_capacity` aggregate
-    /// caches.
+    /// Creates a manager with the default configuration, retaining at most
+    /// `cache_capacity` aggregate caches.
     pub fn with_cache_capacity(catalog: Catalog, cache_capacity: usize) -> Self {
+        SessionManager::with_config(
+            catalog,
+            ServerConfig { cache_capacity, ..ServerConfig::default() },
+        )
+    }
+
+    /// Creates a manager serving `catalog` under `config`, which it keeps
+    /// for the life of the process (see [`SessionManager::config`]).
+    pub fn with_config(catalog: Catalog, config: ServerConfig) -> Self {
         SessionManager {
+            registry: Arc::new(CacheRegistry::new(config.cache_capacity)),
+            config,
             base: RwLock::new(catalog),
-            registry: Arc::new(CacheRegistry::new(cache_capacity)),
             sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -364,6 +382,11 @@ impl SessionManager {
     /// Monotonic count of handler panics the isolation layer caught.
     pub fn panics_caught(&self) -> u64 {
         self.panics_caught.load(Ordering::Relaxed)
+    }
+
+    /// The configuration this manager was built with.
+    pub fn config(&self) -> &ServerConfig {
+        &self.config
     }
 
     /// The shared cache registry.
@@ -465,26 +488,14 @@ impl SessionManager {
         saved
     }
 
-    /// The shard count newly opened sessions run their explain pipeline
-    /// with: `DBWIPES_SHARDS` when set to a positive integer, 1 (the
-    /// single-table path) otherwise. Read per call, like
-    /// `DBWIPES_THREADS`, so operators can retune a running service; open
-    /// sessions keep the configuration they were opened with.
-    pub fn default_shards() -> usize {
-        std::env::var("DBWIPES_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    }
-
-    /// Opens a new session over the current base catalog. Opening takes
-    /// the catalog's read lock only — concurrent opens (and routing) never
-    /// serialize on each other, only on a concurrent `register_table`.
+    /// Opens a new session over the current base catalog, explaining with
+    /// the configured shard count. Opening takes the catalog's read lock
+    /// only — concurrent opens (and routing) never serialize on each
+    /// other, only on a concurrent `register_table`.
     pub fn open_session(&self) -> SessionId {
         let catalog = read_recover(&self.base).clone();
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let session = Arc::new(Mutex::new(ServerSession::new(catalog, Self::default_shards())));
+        let session = Arc::new(Mutex::new(ServerSession::new(catalog, self.config.shards)));
         write_recover(&self.sessions).insert(id, session);
         id
     }
@@ -541,28 +552,13 @@ impl SessionManager {
         read_recover(&self.base).table_names()
     }
 
-    /// How many rows one [`Table::push_rows`] batch of a streamed append
-    /// carries: `DBWIPES_APPEND_BATCH` when set to a positive integer,
-    /// 1024 otherwise. Each batch advances the table's appended epoch
-    /// once, so larger batches amortize per-stamp bookkeeping while
-    /// smaller ones bound how much data a partially-delivered stream can
-    /// sit on. Read per call, like `DBWIPES_SHARDS`, so operators can
-    /// retune a running service.
-    pub fn append_batch_size() -> usize {
-        std::env::var("DBWIPES_APPEND_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1024)
-    }
-
     /// Streams `rows` into the base table `name` — the service side of the
     /// `stream_append` wire command.
     ///
     /// The append is **command-level all-or-nothing**: every row is
     /// validated against the schema up front, so a malformed row anywhere
     /// in the payload rejects the whole command without mutating anything.
-    /// Valid rows are applied in [`SessionManager::append_batch_size`]-row
+    /// Valid rows are applied in [`APPEND_BATCH_ROWS`]-row
     /// batches under one catalog write lock (each batch advances the
     /// appended epoch once, never the structural epoch), persisted to the
     /// attached storage, and then fanned out to every open session via
@@ -575,7 +571,6 @@ impl SessionManager {
         name: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<StreamAppendReport, CoreError> {
-        let batch_size = Self::append_batch_size();
         let appended = rows.len();
         let mut batches = 0usize;
         let table = {
@@ -588,7 +583,7 @@ impl SessionManager {
                 let table = base.table_mut(name).map_err(CoreError::from)?;
                 let mut pending = rows;
                 while !pending.is_empty() {
-                    let rest = pending.split_off(pending.len().min(batch_size));
+                    let rest = pending.split_off(pending.len().min(APPEND_BATCH_ROWS));
                     let chunk = std::mem::replace(&mut pending, rest);
                     table.push_rows(chunk).map_err(CoreError::from)?;
                     batches += 1;
@@ -821,13 +816,12 @@ mod tests {
         assert_eq!((t.num_rows(), t.epoch()), before, "failed appends must not mutate");
 
         // A valid stream lands in batch-size chunks, appended-epoch only.
-        std::env::set_var("DBWIPES_APPEND_BATCH", "2");
-        let rows: Vec<Vec<Value>> = (0..5).map(|i| reading(i, 50.0)).collect();
+        let streamed = 2 * APPEND_BATCH_ROWS + 1;
+        let rows: Vec<Vec<Value>> = (0..streamed as i64).map(|i| reading(i % 20, 50.0)).collect();
         let report = m.stream_append("readings", rows).unwrap();
-        std::env::remove_var("DBWIPES_APPEND_BATCH");
-        assert_eq!(report.appended, 5);
+        assert_eq!(report.appended, streamed);
         assert_eq!(report.batches, 3);
-        assert_eq!(report.total_rows, before.0 + 5);
+        assert_eq!(report.total_rows, before.0 + streamed);
         let base = m.base.read().unwrap().table_arc("readings").unwrap();
         assert_eq!(base.epoch().structural, before.1.structural);
         assert!(base.epoch().appended > before.1.appended);

@@ -835,7 +835,10 @@ mod tests {
             "`protocol_version`",
             "`sessions_refreshed`",
             "MAX_STREAM_APPEND_ROWS",
-            "DBWIPES_APPEND_BATCH",
+            "APPEND_BATCH_ROWS",
+            "`config`",
+            "`read_timeout_ms`",
+            "`idle_timeout_ms`",
             "`health`",
             "`degraded`",
             "`durable`",

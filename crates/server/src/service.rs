@@ -58,9 +58,23 @@ impl SessionManager {
                 let mut fields = vec![
                     ("protocol_version", Json::num(PROTOCOL_VERSION as f64)),
                     ("sessions", Json::num(self.session_count() as f64)),
-                    // The shard count sessions opened now would run their
+                    // The shard count sessions opened now run their
                     // explain pipeline with (the `DBWIPES_SHARDS` knob).
-                    ("shards", Json::num(SessionManager::default_shards() as f64)),
+                    ("shards", Json::num(self.config().shards as f64)),
+                    // The rest of the effective configuration; `shards`,
+                    // `pool` and `storage.attached` report their own parts.
+                    (
+                        "config",
+                        Json::obj(vec![
+                            ("cache_capacity", Json::num(self.registry().capacity() as f64)),
+                            ("threads", Json::num(dbwipes_core::effective_parallelism() as f64)),
+                            (
+                                "fault_plan",
+                                self.config().fault_plan.clone().map_or(Json::Null, Json::Str),
+                            ),
+                            ("crash_armed", Json::Bool(self.config().enable_crash)),
+                        ]),
+                    ),
                     (
                         "cache",
                         Json::obj(vec![
@@ -416,7 +430,7 @@ impl SessionManager {
                 // at execution time so production servers treat it as a
                 // plain user error while chaos tests (which set
                 // `DBWIPES_ENABLE_CRASH=1`) get a real panic to catch.
-                if crash_enabled() {
+                if self.config().enable_crash {
                     panic!("deliberate crash requested by the crash command");
                 }
                 Err("crash is disabled; set DBWIPES_ENABLE_CRASH=1 to enable this test hook".into())
@@ -432,12 +446,6 @@ impl SessionManager {
             | Command::StreamAppend { .. } => unreachable!("handled by dispatch"),
         }
     }
-}
-
-/// Whether the `crash` test hook is armed (`DBWIPES_ENABLE_CRASH=1`).
-/// Read per call, like every other knob, so a test can arm and disarm it.
-fn crash_enabled() -> bool {
-    std::env::var("DBWIPES_ENABLE_CRASH").map(|v| v.trim() == "1").unwrap_or(false)
 }
 
 /// Best-effort rendering of a caught panic payload: `panic!` with a string
@@ -495,6 +503,8 @@ fn pool_json(stats: &PoolStats) -> Json {
         ("workers", Json::num(snapshot.workers as f64)),
         ("queue_depth", Json::num(snapshot.queue_depth as f64)),
         ("max_connections", Json::num(snapshot.max_connections as f64)),
+        ("idle_timeout_ms", Json::num(snapshot.idle_timeout_ms as f64)),
+        ("read_timeout_ms", Json::num(snapshot.read_timeout_ms as f64)),
         ("queued", Json::num(snapshot.queued as f64)),
         ("rejected", Json::num(snapshot.rejected as f64)),
         ("active_connections", Json::num(snapshot.active_connections as f64)),

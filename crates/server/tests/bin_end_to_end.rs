@@ -2,7 +2,7 @@
 //! stdin/stdout pipes and once over a TCP connection, running a scripted
 //! Figure-1 session through each transport.
 
-use dbwipes_server::LineClient;
+use dbwipes_server::{Json, LineClient};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 
@@ -144,4 +144,32 @@ fn tcp_transport_serves_a_scripted_session() {
         replies.push(client.roundtrip(&line).expect("reply").to_string());
     }
     check_replies(&replies);
+}
+
+#[test]
+fn stats_reports_the_configuration_read_at_startup() {
+    // Workers from the environment (as the benchmark harness sets them),
+    // the read deadline from a flag.
+    let mut child = Command::new(BIN)
+        .args(["--readings", "1350", "--listen", "127.0.0.1:0", "--read-timeout-ms", "2000"])
+        .env("DBWIPES_SERVER_WORKERS", "3")
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dbwipes-server");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let _child = KillOnDrop(child);
+    let addr = {
+        let mut line = String::new();
+        stderr.read_line(&mut line).expect("read listen banner");
+        line.trim().rsplit(' ').next().expect("banner ends with the address").to_string()
+    };
+    let mut client =
+        LineClient::connect(&addr, std::time::Duration::from_secs(30)).expect("connect");
+    let stats = client.roundtrip(r#"{"cmd":"stats"}"#).expect("reply");
+    let pool = stats.get("pool").expect("pooled front-end reports its pool");
+    assert_eq!(pool.get("workers").and_then(Json::as_u64), Some(3), "{stats}");
+    assert_eq!(pool.get("read_timeout_ms").and_then(Json::as_u64), Some(2000), "{stats}");
+    let config = stats.get("config").expect("stats carries the config block");
+    assert_eq!(config.get("fault_plan"), Some(&Json::Null), "{stats}");
+    assert_eq!(config.get("crash_armed"), Some(&Json::Bool(false)), "{stats}");
 }

@@ -90,3 +90,38 @@ fn oversized_nesting_is_refused_and_the_next_command_is_answered() {
         .join()
         .expect("the server must not overflow a worker stack");
 }
+
+#[test]
+fn a_click_past_the_bound_is_refused_and_the_session_keeps_serving() {
+    let m = manager();
+    let ok = |line: &str| {
+        let reply = send(&m, line);
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{line} -> {reply}");
+        reply
+    };
+    let s = ok(r#"{"cmd":"open_session"}"#).get("session").and_then(Json::as_u64).unwrap();
+    // A query exactly at the depth bound: any click nests it one deeper.
+    let chain = format!("{}temp > 1", "temp > 1 AND ".repeat(MAX_EXPR_DEPTH - 2));
+    let sql = format!(
+        "SELECT window, avg(temp) AS avg_temp, stddev(temp) AS std_temp FROM readings \
+         WHERE {chain} GROUP BY window"
+    );
+    let run = Json::obj(vec![
+        ("cmd", Json::str("run_query")),
+        ("session", Json::num(s as f64)),
+        ("sql", Json::str(sql.clone())),
+    ]);
+    ok(&run.to_string());
+    ok(&format!(
+        r#"{{"cmd":"brush_outputs","session":{s},"x":"window","y":"std_temp","brush":{{"y_min":0}}}}"#
+    ));
+    ok(&format!(
+        r#"{{"cmd":"set_metric","session":{s},"kind":"too_high","column":"std_temp","value":4}}"#
+    ));
+    ok(&format!(r#"{{"cmd":"debug","session":{s}}}"#));
+    assert_invalid(&send(&m, &format!(r#"{{"cmd":"click_predicate","session":{s},"index":0}}"#)));
+    ok(r#"{"cmd":"ping"}"#);
+    // The refused click applied nothing.
+    let state = ok(&format!(r#"{{"cmd":"state","session":{s}}}"#));
+    assert_eq!(state.get("applied_predicates"), Some(&Json::Arr(Vec::new())), "{state}");
+}

@@ -60,9 +60,8 @@ fn catalog_of(table: Table) -> Catalog {
     catalog
 }
 
-/// A plain filesystem runtime — built via `with_backend`, never
-/// `StorageRuntime::open`, so the `DBWIPES_FAULT_PLAN` environment knob
-/// can never leak into these tests.
+/// A plain filesystem runtime, built through the same `with_backend` seam
+/// as [`faulty_runtime`].
 fn fs_runtime(dir: &std::path::Path) -> StorageRuntime {
     StorageRuntime::with_backend(Box::new(FsBackend::open(dir).unwrap()))
 }
@@ -352,8 +351,8 @@ fn one_hundred_crashes_cost_zero_workers_and_quarantine_each_session() {
 
 #[test]
 fn crash_hook_is_a_plain_user_error_when_disarmed() {
-    // In-process, `DBWIPES_ENABLE_CRASH` is unset: the hook must refuse
-    // with a classic string error — no panic, no quarantine.
+    // In-process, the default configuration leaves the hook disarmed: it
+    // must refuse with a classic string error — no panic, no quarantine.
     let manager = SessionManager::new(catalog_of(sensor_table()));
     let open = manager.handle_line(r#"{"cmd":"open_session"}"#);
     assert!(open.contains(r#""ok":true"#), "{open}");

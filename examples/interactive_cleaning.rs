@@ -83,7 +83,7 @@ fn main() {
             break;
         };
         println!("  applying: {}", best.summary());
-        session.apply(best.predicate.clone());
+        session.apply(best.predicate.clone()).expect("click within the bound");
         result = session.execute(&table).expect("cleaned query");
     }
 

@@ -55,7 +55,7 @@ fn main() {
     let best = explanation.best().expect("at least one predicate").predicate.clone();
     println!("cleaning with: {best}\n");
     let mut session = CleaningSession::new(result.statement.clone());
-    session.apply(best.clone());
+    session.apply(best.clone()).expect("one click is within the bound");
     let cleaned = session
         .execute(db.catalog().table("measurements").expect("table"))
         .expect("cleaned query executes");

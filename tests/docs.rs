@@ -1,7 +1,9 @@
 //! Lints the prose documentation: every relative markdown link in
 //! `README.md` and `docs/*.md` must point at a file (or directory) that
 //! exists in the repository, and the three architecture/reference docs the
-//! README promises must actually be there and linked.
+//! README promises must actually be there and linked. Also lints where the
+//! code may touch the process environment (see
+//! `environment_is_read_only_by_the_config_parse`).
 //!
 //! Absolute `http(s)://` links are out of scope (no network in CI or this
 //! container); intra-crate rustdoc links are checked separately by the
@@ -113,4 +115,55 @@ fn readme_links_the_reference_docs() {
         assert!(Path::new(&root.join(doc)).exists(), "{doc} is missing — the README promises it");
         assert!(targets.contains(doc), "README.md does not link to {doc}");
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The server reads its knobs once, in `ServerConfig::parse`'s process
+/// entry point; `core::parallel` reads `DBWIPES_THREADS` for library
+/// callers without a server. Nothing else may read the environment, and
+/// nothing may mutate it: concurrent setenv/getenv is undefined behaviour
+/// on glibc, and test binaries are multithreaded.
+#[test]
+fn environment_is_read_only_by_the_config_parse() {
+    const ALLOWED: [&str; 2] = ["crates/server/src/config.rs", "crates/core/src/parallel.rs"];
+    let root = repo_root();
+    let mut files = Vec::new();
+    rust_files(&root.join("tests"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let krate = krate.unwrap().path();
+        rust_files(&krate.join("src"), &mut files);
+        rust_files(&krate.join("tests"), &mut files);
+    }
+    assert!(files.len() > 50, "the lint found only {} files", files.len());
+    let needles = ["var", "set_var", "remove_var"].map(|f| format!("env::{f}"));
+    let mut offenders = Vec::new();
+    for file in files {
+        let relative = file.strip_prefix(&root).unwrap().to_string_lossy().replace('\\', "/");
+        if ALLOWED.contains(&relative.as_str()) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            if needles.iter().any(|needle| line.contains(needle.as_str())) {
+                offenders.push(format!("{relative}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "environment access outside the config parse:\n{}",
+        offenders.join("\n")
+    );
 }

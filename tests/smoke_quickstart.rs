@@ -52,7 +52,7 @@ fn quickstart_loop_produces_a_ranked_repairing_predicate() {
     // Click: rewriting the query with AND NOT (best) lowers every brushed
     // group's average (or removes the group entirely).
     let mut session = CleaningSession::new(result.statement.clone());
-    session.apply(best.predicate.clone());
+    session.apply(best.predicate.clone()).expect("one click is within the bound");
     let cleaned = session
         .execute(db.catalog().table("measurements").expect("table"))
         .expect("cleaned query executes");
